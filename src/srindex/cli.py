@@ -144,9 +144,19 @@ def make_parser():
     return p
 
 
+class CliError(SystemExit, ValueError):
+    """An input error already reported on stderr. Uncaught, it ends the
+    program with status 2 and no traceback; callers of main() can still
+    catch it as the ValueError it replaces."""
+
+
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    rc = args.func(args)
+    try:
+        rc = args.func(args)
+    except ValueError as exc:  # envelope.FormatError is a ValueError too
+        print(f"error: {exc}", file=sys.stderr)
+        raise CliError(2) from None
     return rc or 0
 
 

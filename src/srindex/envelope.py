@@ -3,8 +3,13 @@
 Layout: a fixed header (magic, format version, kind, variant, n, sigma, r,
 s, B), a section table (name, offset, length), the section payloads, and a
 trailing crc32 over everything before it. All integers little-endian.
-Rank directories and derived tables are rebuilt on load; the load path
-checks the checksum and that declared n/sigma/r match the payload.
+
+One table, FORMAT, says what every kind stores: its classes, the header
+fields their constructors take, and (section, attribute, codec) rows, with
+the run-length BWT and Psi-run groups shared. serialize and deserialize
+only walk it. Rank directories and derived tables are rebuilt on load; the
+load path checks the checksum, that the sections are exactly the ones the
+table names for the kind and variant, and the invariants in CHECKS.
 """
 
 import struct
@@ -19,15 +24,6 @@ from .succinct import BlockedDeltaSeq, DenseBitvector, SparseBitvector
 
 MAGIC = b"SRIX"
 FORMAT_VERSION = 1
-
-KINDS = ["rlbwt", "r-index", "sr-index", "r-csa", "sr-csa"]
-
-# sections holding locating (as opposed to counting) structures
-LOCATING_SECTIONS = {
-    "first", "first_to_run", "samples", "sa_last",
-    "marks", "mark_map", "samples_sub", "removed", "valid", "valid_area",
-    "f_sa", "marks_l",
-}
 
 
 class FormatError(ValueError):
@@ -48,18 +44,21 @@ def pack_ints(values):
 
 
 def unpack_ints(blob):
-    width, count = struct.unpack_from("<BQ", blob, 0)
-    acc = int.from_bytes(blob[9:], "little")
+    return _ints_at(blob, 0)[0]
+
+
+def _ints_at(blob, off):
+    """pack_ints payload at offset off -> (values, offset after it)."""
+    width, count = struct.unpack_from("<BQ", blob, off)
+    end = off + 9 + (width * count + 7) // 8
+    acc = int.from_bytes(blob[off + 9:end], "little")
     mask = (1 << width) - 1
-    return [(acc >> (i * width)) & mask for i in range(count)]
+    return [(acc >> (i * width)) & mask for i in range(count)], end
 
 
 def _dense_bytes(bv):
-    acc = 0
-    for i, w in enumerate(bv.words):
-        acc |= w << (i * 64)
-    payload = acc.to_bytes(len(bv.words) * 8, "little")
-    return struct.pack("<Q", bv.n) + payload
+    return struct.pack("<Q", bv.n) + b"".join(
+        w.to_bytes(8, "little") for w in bv.words)
 
 
 def _dense_from(blob):
@@ -78,11 +77,8 @@ def _sparse_bytes(bv):
 
 def _sparse_from(blob):
     n, ones, low_bits = struct.unpack_from("<QQB", blob, 0)
-    off = 17
-    width, count = struct.unpack_from("<BQ", blob, off)
-    low_len = 9 + (width * count + 7) // 8
-    lows = unpack_ints(blob[off:off + low_len])
-    high = _dense_from(blob[off + low_len:])
+    lows, off = _ints_at(blob, 17)
+    high = _dense_from(blob[off:])
     if len(lows) != ones:
         raise FormatError("sparse bitvector cardinality mismatch")
     return SparseBitvector.from_ef_parts(n, low_bits, lows, high)
@@ -96,235 +92,156 @@ def _delta_bytes(seq):
 
 def _delta_from(blob):
     m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
-    off = 24
-    width, count = struct.unpack_from("<BQ", blob, off)
-    s_len = 9 + (width * count + 7) // 8
-    samples = unpack_ints(blob[off:off + s_len])
-    stream = int.from_bytes(blob[off + s_len:], "little")
+    samples, off = _ints_at(blob, 24)
+    stream = int.from_bytes(blob[off:], "little")
     return BlockedDeltaSeq.from_parts(m, B, samples, stream, nbits)
 
 
-def _multi_bytes(blobs):
-    out = [struct.pack("<I", len(blobs))]
-    for b in blobs:
+def _deltas_bytes(seqs):
+    """Per-symbol delta streams (dict c -> seq, c = 1..sigma), in order."""
+    out = [struct.pack("<I", len(seqs))]
+    for c in sorted(seqs):
+        b = _delta_bytes(seqs[c])
         out.append(struct.pack("<Q", len(b)))
         out.append(b)
     return b"".join(out)
 
 
-def _multi_from(blob):
+def _deltas_from(blob):
     (count,) = struct.unpack_from("<I", blob, 0)
     off = 4
-    out = []
-    for _ in range(count):
+    out = {}
+    for c in range(1, count + 1):
         (ln,) = struct.unpack_from("<Q", blob, off)
         off += 8
-        out.append(blob[off:off + ln])
+        out[c] = _delta_from(blob[off:off + ln])
         off += ln
     return out
 
 
-def _alphabet_section(alphabet):
-    return pack_ints(list(alphabet))
+# -- the format table -----------------------------------------------------
+
+# codecs: (encode, decode)
+INTS = (pack_ints, unpack_ints)
+DENSE = (_dense_bytes, _dense_from)
+SPARSE = (_sparse_bytes, _sparse_from)
+U64 = (lambda v: struct.pack("<Q", v), lambda b: struct.unpack("<Q", b)[0])
+DELTAS = (_deltas_bytes, _deltas_from)
+
+# A layer is (class, the argument name the next layer gets it under,
+# header fields its constructor takes, rows); a row is (section, attribute
+# and constructor argument, codec). The counting layers are shared.
+RLBWT = (RunLengthBWT, "rl", ("n", "sigma"), [
+    ("start", "start", SPARSE),
+    ("letters", "letters", INTS),
+])
+PSI_RUNS = (PsiRuns, "runs", ("n", "sigma", "block"), [
+    ("c_table", "C", INTS),
+    ("i_psi", "i_psi", INTS),
+    ("psi_heads", "heads", DELTAS),
+    ("psi_tails", "tails", DELTAS),
+])
+SUBSAMPLED = [
+    ("removed", "removed", DENSE),
+    ("samples_sub", "samples_sub", INTS),
+    ("mark_map", "mark_map", INTS),
+    ("valid", "valid", DENSE),
+    ("valid_area", "valid_area", INTS),
+]
+# sections stored only from this variant on; all others are always stored
+SINCE_VARIANT = {"valid": 1, "valid_area": 2}
+
+# kind -> its layers, innermost first; the header stores a kind as its
+# position in this table
+FORMAT = {
+    "rlbwt": [RLBWT],
+    "r-index": [RLBWT, (RIndex, None, (), [
+        ("first", "first", SPARSE),
+        ("first_to_run", "first_to_run", INTS),
+        ("samples", "samples", INTS),
+    ])],
+    "sr-index": [RLBWT, (SrIndex, None, ("s", "variant"), [
+        ("marks", "marks", SPARSE),
+        ("sa_last", "sa_last", U64),
+    ] + SUBSAMPLED)],
+    "r-csa": [PSI_RUNS, (RCsa, None, (), [
+        ("f_sa", "f_sa", INTS),
+        ("marks_l", "marks_l", SPARSE),
+        ("mark_map", "mark_map", INTS),
+    ])],
+    "sr-csa": [PSI_RUNS, (SrCsa, None, ("s", "variant"), [
+        ("marks_l", "marks_l", SPARSE),
+    ] + SUBSAMPLED)],
+}
+KINDS = list(FORMAT)
+
+# sections holding locating (as opposed to counting) structures
+LOCATING_SECTIONS = {
+    row[0] for layers in FORMAT.values() if len(layers) > 1
+    for row in layers[-1][3]}
+
+# Structural invariants the loader checks before building anything, each
+# when all the sections it reads are present: (sections, test over the
+# decoded sections v and the header h, message).
+CHECKS = [
+    (("start", "letters"), lambda v, h: v["start"].n == h["n"]
+     and v["start"].ones == len(v["letters"]) == h["r"],
+     "run table does not match header"),
+    (("letters",), lambda v, h: all(1 <= c <= h["sigma"]
+                                    for c in v["letters"]),
+     "letters exceed declared alphabet"),
+    (("c_table",), lambda v, h: len(v["c_table"]) == h["sigma"] + 2
+     and v["c_table"][-1] == h["n"],
+     "C table does not match header"),
+    (("i_psi", "psi_heads"), lambda v, h: len(v["i_psi"]) == h["r"]
+     == sum(map(len, v["psi_heads"].values())),
+     "psi run streams do not match run count"),
+    (("samples", "first_to_run"), lambda v, h:
+     len(v["samples"]) == len(v["first_to_run"]) == h["r"],
+     "sample tables do not match run count"),
+    (("f_sa",), lambda v, h: len(v["f_sa"]) == h["r"],
+     "sample tables do not match run count"),
+    (("removed", "samples_sub"), lambda v, h: v["removed"].n == h["r"]
+     and len(v["samples_sub"]) == h["r"] - v["removed"].ones,
+     "subsample tables do not match run count"),
+]
 
 
-# -- per-kind section builders --------------------------------------------
+def _kind_of(ix):
+    for kind, layers in FORMAT.items():
+        if isinstance(ix, layers[-1][0]):
+            return kind
+    raise TypeError(f"not an index: {type(ix)!r}")
 
 
-def _rlbwt_sections(rl, alphabet):
-    return {
-        "alphabet": _alphabet_section(alphabet),
-        "start": _sparse_bytes(rl.start),
-        "letters": pack_ints(rl.letters),
-    }
-
-
-def _rlbwt_from(sections, n, sigma):
-    alphabet = unpack_ints(sections["alphabet"])
-    start = _sparse_from(sections["start"])
-    letters = unpack_ints(sections["letters"])
-    if start.n != n or len(start.positions) != len(letters):
-        raise FormatError("run table does not match header")
-    if alphabet and max(letters) > sigma:
-        raise FormatError("letters exceed declared alphabet")
-    rl = RunLengthBWT(n, sigma, start.positions, letters)
-    rl.start = start
-    return rl, alphabet
-
-
-def _rindex_sections(ix, alphabet):
-    out = _rlbwt_sections(ix.rl, alphabet)
-    out["first"] = _sparse_bytes(ix.first)
-    out["first_to_run"] = pack_ints(ix.first_to_run)
-    out["samples"] = pack_ints(ix.samples)
-    return out
-
-
-def _rindex_from(sections, n, sigma):
-    rl, alphabet = _rlbwt_from(sections, n, sigma)
-    first = _sparse_from(sections["first"])
-    first_to_run = unpack_ints(sections["first_to_run"])
-    samples = unpack_ints(sections["samples"])
-    if len(samples) != rl.r or len(first_to_run) != rl.r:
-        raise FormatError("sample tables do not match run count")
-    return RIndex(rl, first, first_to_run, samples), alphabet
-
-
-def _srindex_sections(ix, alphabet):
-    out = _rlbwt_sections(ix.rl, alphabet)
-    out["marks"] = _sparse_bytes(ix.marks)
-    out["mark_map"] = pack_ints(ix.mark_map)
-    out["samples_sub"] = pack_ints(ix.samples_sub)
-    out["removed"] = _dense_bytes(ix.removed)
-    out["sa_last"] = struct.pack("<Q", ix.sa_last)
-    if ix.variant:
-        out["valid"] = _dense_bytes(ix.valid)
-    if ix.variant == 2:
-        out["valid_area"] = pack_ints(ix.valid_area)
-    return out
-
-
-def _srindex_from(sections, n, sigma, s, variant):
-    rl, alphabet = _rlbwt_from(sections, n, sigma)
-    marks = _sparse_from(sections["marks"])
-    mark_map = unpack_ints(sections["mark_map"])
-    samples_sub = unpack_ints(sections["samples_sub"])
-    removed = _dense_from(sections["removed"])
-    (sa_last,) = struct.unpack("<Q", sections["sa_last"])
-    if removed.n != rl.r or len(samples_sub) != removed.n - removed.ones:
-        raise FormatError("subsample tables do not match run count")
-    valid = _dense_from(sections["valid"]) if variant else None
-    valid_area = unpack_ints(sections["valid_area"]) if variant == 2 else None
-    ix = SrIndex(rl, s, variant, removed, samples_sub, marks, mark_map,
-                 sa_last, valid, valid_area)
-    return ix, alphabet
-
-
-def _psiruns_sections(runs, alphabet):
-    return {
-        "alphabet": _alphabet_section(alphabet),
-        "c_table": pack_ints(runs.C),
-        "i_psi": pack_ints(runs.i_psi),
-        "psi_heads": _multi_bytes(
-            [_delta_bytes(runs.heads[c]) for c in range(1, runs.sigma + 1)]),
-        "psi_tails": _multi_bytes(
-            [_delta_bytes(runs.tails[c]) for c in range(1, runs.sigma + 1)]),
-    }
-
-
-def _psiruns_from(sections, n, sigma, block):
-    alphabet = unpack_ints(sections["alphabet"])
-    C = unpack_ints(sections["c_table"])
-    i_psi = unpack_ints(sections["i_psi"])
-    heads = {}
-    tails = {}
-    for c, blob in enumerate(_multi_from(sections["psi_heads"]), 1):
-        heads[c] = _delta_from(blob)
-    for c, blob in enumerate(_multi_from(sections["psi_tails"]), 1):
-        tails[c] = _delta_from(blob)
-    if len(C) != sigma + 2 or C[-1] != n:
-        raise FormatError("C table does not match header")
-    from bisect import bisect_left
-    run_symbols = [bisect_left(C, pos) - 1 for pos in i_psi]
-    runs = PsiRuns(n, sigma, C, i_psi, run_symbols, heads, tails, block)
-    if sum(len(heads[c]) for c in heads) != runs.r:
-        raise FormatError("psi run streams do not match run count")
-    return runs, alphabet
-
-
-def _rcsa_sections(ix, alphabet):
-    out = _psiruns_sections(ix.runs, alphabet)
-    out["f_sa"] = pack_ints(ix.f_sa)
-    out["marks_l"] = _sparse_bytes(ix.marks_l)
-    out["mark_map"] = pack_ints(ix.mark_map)
-    return out
-
-
-def _rcsa_from(sections, n, sigma, block):
-    runs, alphabet = _psiruns_from(sections, n, sigma, block)
-    f_sa = unpack_ints(sections["f_sa"])
-    marks_l = _sparse_from(sections["marks_l"])
-    mark_map = unpack_ints(sections["mark_map"])
-    if len(f_sa) != runs.r:
-        raise FormatError("sample tables do not match run count")
-    return RCsa(runs, f_sa, marks_l, mark_map), alphabet
-
-
-def _srcsa_sections(ix, alphabet):
-    out = _psiruns_sections(ix.runs, alphabet)
-    out["marks_l"] = _sparse_bytes(ix.marks_l)
-    out["mark_map"] = pack_ints(ix.mark_map)
-    out["samples_sub"] = pack_ints(ix.samples_sub)
-    out["removed"] = _dense_bytes(ix.removed)
-    if ix.variant:
-        out["valid"] = _dense_bytes(ix.valid)
-    if ix.variant == 2:
-        out["valid_area"] = pack_ints(ix.valid_area)
-    return out
-
-
-def _srcsa_from(sections, n, sigma, s, variant, block):
-    runs, alphabet = _psiruns_from(sections, n, sigma, block)
-    marks_l = _sparse_from(sections["marks_l"])
-    mark_map = unpack_ints(sections["mark_map"])
-    samples_sub = unpack_ints(sections["samples_sub"])
-    removed = _dense_from(sections["removed"])
-    if removed.n != runs.r or len(samples_sub) != removed.n - removed.ones:
-        raise FormatError("subsample tables do not match run count")
-    valid = _dense_from(sections["valid"]) if variant else None
-    valid_area = unpack_ints(sections["valid_area"]) if variant == 2 else None
-    ix = SrCsa(runs, s, variant, removed, samples_sub, marks_l, mark_map, n,
-               valid, valid_area)
-    return ix, alphabet
+def _rows(kind, variant):
+    """Sections stored for a kind and variant: [(name, attribute, codec)],
+    one list per layer."""
+    return [[row for row in layer[3]
+             if variant >= SINCE_VARIANT.get(row[0], 0)]
+            for layer in FORMAT[kind]]
 
 
 # -- envelope -------------------------------------------------------------
 
 
-def _kind_of(ix):
-    if isinstance(ix, SrIndex):
-        return "sr-index"
-    if isinstance(ix, SrCsa):
-        return "sr-csa"
-    if isinstance(ix, RIndex):
-        return "r-index"
-    if isinstance(ix, RCsa):
-        return "r-csa"
-    if isinstance(ix, RunLengthBWT):
-        return "rlbwt"
-    raise TypeError(f"not an index: {type(ix)!r}")
-
-
-def _params_of(ix, kind):
-    if kind == "rlbwt":
-        return ix.n, ix.sigma, ix.r, 0, 0, 0
-    if kind == "r-index":
-        return ix.n, ix.rl.sigma, ix.rl.r, 0, 0, 0
-    if kind == "sr-index":
-        return ix.n, ix.rl.sigma, ix.rl.r, ix.s, 0, ix.variant
-    if kind == "r-csa":
-        return ix.n, ix.runs.sigma, ix.runs.r, 0, ix.runs.block, 0
-    return ix.n, ix.runs.sigma, ix.runs.r, ix.s, ix.runs.block, ix.variant
-
-
 def serialize(ix, alphabet):
     """Index object + alphabet list -> envelope bytes."""
     kind = _kind_of(ix)
-    n, sigma, r, s, block, variant = _params_of(ix, kind)
-    if kind == "rlbwt":
-        sections = _rlbwt_sections(ix, alphabet)
-    elif kind == "r-index":
-        sections = _rindex_sections(ix, alphabet)
-    elif kind == "sr-index":
-        sections = _srindex_sections(ix, alphabet)
-    elif kind == "r-csa":
-        sections = _rcsa_sections(ix, alphabet)
-    else:
-        sections = _srcsa_sections(ix, alphabet)
+    layers = FORMAT[kind]
+    objs = [getattr(ix, layer[1]) for layer in layers[:-1]] + [ix]
+    head = {"s": 0, "block": 0, "variant": 0}
+    for obj, layer in zip(objs, layers):
+        head.update((f, getattr(obj, f)) for f in layer[2])
+    sections = {"alphabet": pack_ints(list(alphabet))}
+    for obj, rows in zip(objs, _rows(kind, head["variant"])):
+        for name, attr, (encode, _) in rows:
+            sections[name] = encode(getattr(obj, attr))
     names = sorted(sections)
     header = MAGIC + struct.pack(
-        "<IBBHQQQQQI", FORMAT_VERSION, KINDS.index(kind), variant, 0,
-        n, sigma, r, s, block, len(names))
+        "<IBBHQQQQQI", FORMAT_VERSION, KINDS.index(kind), head["variant"], 0,
+        head["n"], head["sigma"], objs[0].r, head["s"], head["block"],
+        len(names))
     table = bytearray()
     body = bytearray()
     offset = 0
@@ -340,23 +257,21 @@ def serialize(ix, alphabet):
 
 def section_sizes(data):
     """Envelope bytes -> {section name: length in bytes}."""
-    _check_crc(data)
-    kind, variant, n, sigma, r, s, block, count, t_off = _read_header(data)
-    out = {}
-    for i in range(count):
-        nb, off, ln = struct.unpack_from("<16sQQ", data, t_off + 32 * i)
-        out[nb.rstrip(b"\x00").decode()] = ln
-    return out
+    return {name: len(blob) for name, blob in _open(data)[2].items()}
 
 
 def read_params(data):
-    _check_crc(data)
-    kind, variant, n, sigma, r, s, block, count, _ = _read_header(data)
-    return {"kind": kind, "variant": variant, "n": n, "sigma": sigma,
-            "r": r, "s": s, "block": block}
+    kind, head, _ = _open(data)
+    return {"kind": kind, **head}
 
 
-def _read_header(data):
+def _open(data):
+    """Checked envelope bytes -> (kind, header fields, {section: bytes})."""
+    if len(data) < 60:
+        raise FormatError("truncated envelope")
+    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(data[:-4]) != crc:
+        raise FormatError("checksum mismatch")
     if data[:4] != MAGIC:
         raise FormatError("bad magic")
     version, kind_id, variant, _, n, sigma, r, s, block, count = (
@@ -365,43 +280,49 @@ def _read_header(data):
         raise FormatError(f"unsupported format version {version}")
     if kind_id >= len(KINDS):
         raise FormatError("unknown index kind")
-    return KINDS[kind_id], variant, n, sigma, r, s, block, count, 56
-
-
-def _check_crc(data):
-    if len(data) < 60:
-        raise FormatError("truncated envelope")
-    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != crc:
-        raise FormatError("checksum mismatch")
+    head = {"variant": variant, "n": n, "sigma": sigma, "r": r, "s": s,
+            "block": block}
+    body_off = 56 + 32 * count
+    sections = {}
+    for i in range(count):
+        nb, off, ln = struct.unpack_from("<16sQQ", data, 56 + 32 * i)
+        name = nb.rstrip(b"\x00").decode(errors="replace")
+        sections[name] = data[body_off + off:body_off + off + ln]
+    if len(sections) != count:
+        raise FormatError("duplicate section name")
+    return KINDS[kind_id], head, sections
 
 
 def deserialize(data):
     """Envelope bytes -> (index object, kind, alphabet)."""
-    _check_crc(data)
-    kind, variant, n, sigma, r, s, block, count, t_off = _read_header(data)
-    body_off = t_off + 32 * count
-    sections = {}
-    for i in range(count):
-        nb, off, ln = struct.unpack_from("<16sQQ", data, t_off + 32 * i)
-        name = nb.rstrip(b"\x00").decode()
-        sections[name] = data[body_off + off:body_off + off + ln]
-    if kind == "rlbwt":
-        ix, alphabet = _rlbwt_from(sections, n, sigma)
-    elif kind == "r-index":
-        ix, alphabet = _rindex_from(sections, n, sigma)
-    elif kind == "sr-index":
-        ix, alphabet = _srindex_from(sections, n, sigma, s, variant)
-    elif kind == "r-csa":
-        ix, alphabet = _rcsa_from(sections, n, sigma, block)
-    else:
-        ix, alphabet = _srcsa_from(sections, n, sigma, s, variant, block)
-    declared_r = r
-    actual_r = ix.r if kind == "rlbwt" else (
-        ix.rl.r if kind in ("r-index", "sr-index") else ix.runs.r)
-    if actual_r != declared_r:
-        raise FormatError("declared r does not match payload")
-    return ix, kind, alphabet
+    kind, head, blobs = _open(data)
+    layers = FORMAT[kind]
+    taken = {f for layer in layers for f in layer[2]}
+    if head["variant"] > 2 or ("s" in taken and head["s"] < 1) or any(
+            head[f] for f in ("s", "block", "variant") if f not in taken):
+        raise FormatError(f"header parameters do not fit {kind}")
+    rows = _rows(kind, head["variant"])
+    want = ["alphabet"] + [name for layer in rows for name, _, _ in layer]
+    if sorted(blobs) != sorted(want):
+        raise FormatError(f"{kind} variant {head['variant']} needs sections "
+                          f"{sorted(want)}, found {sorted(blobs)}")
+    values = {}
+    for name, _, (_, decode) in [("alphabet", None, INTS)] + sum(rows, []):
+        try:
+            values[name] = decode(blobs[name])
+        except (struct.error, ValueError, IndexError) as exc:
+            raise FormatError(f"section {name}: {exc}") from exc
+    for names, ok, message in CHECKS:
+        if all(name in values for name in names) and not ok(values, head):
+            raise FormatError(message)
+    ix = None
+    for (cls, attr, fields, _), layer_rows in zip(layers, rows):
+        args = {f: head[f] for f in fields}
+        args.update((a, values[name]) for name, a, _ in layer_rows)
+        if ix is not None:
+            args[inner] = ix
+        ix, inner = cls(**args), attr
+    return ix, kind, values["alphabet"]
 
 
 def locating_bits(data):
@@ -412,6 +333,4 @@ def locating_bits(data):
 
 
 def counting_bits(data):
-    return 8 * sum(
-        ln for name, ln in section_sizes(data).items()
-        if name not in LOCATING_SECTIONS)
+    return 8 * sum(section_sizes(data).values()) - locating_bits(data)

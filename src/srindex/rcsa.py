@@ -13,47 +13,27 @@ and iphi maps SA[i] to SA[i+1] via the successor mark.
 
 from bisect import bisect_left, bisect_right
 
+from .rlbwt import BackwardSearch
 from .succinct import BlockedDeltaSeq, SparseBitvector
 
 DEFAULT_BLOCK = 64
 
 
-class PsiRuns:
+class PsiRuns(BackwardSearch):
     """Counting structures: per-symbol head/tail streams plus run geometry."""
 
-    def __init__(self, n, sigma, C, i_psi, run_symbols, heads, tails,
-                 block=DEFAULT_BLOCK):
+    def __init__(self, n, sigma, C, i_psi, heads, tails, block=DEFAULT_BLOCK):
         self.n = n
         self.sigma = sigma
         self.C = C                    # C[c] symbols smaller than c
         self.i_psi = i_psi            # global run -> first position
         self.r = len(i_psi)
         self.block = block
-        # first_run[c] = 1-based global index of c's first run (r+1 if none)
-        self.first_run = [1] * (sigma + 2)
-        for q, c in enumerate(run_symbols, 1):
-            self.first_run[c + 1] = q + 1
-        for c in range(1, sigma + 2):
-            if self.first_run[c] < self.first_run[c - 1]:
-                self.first_run[c] = self.first_run[c - 1]
+        # first_run[c] = 1-based global index of c's first run (r+1 if none);
+        # runs never cross symbol blocks, so it counts runs starting <= C[c]
+        self.first_run = [bisect_right(i_psi, x) + 1 for x in C]
         self.heads = heads            # dict c -> BlockedDeltaSeq
         self.tails = tails
-
-    @classmethod
-    def from_values(cls, n, sigma, C, i_psi, run_symbols, head_vals,
-                    tail_vals, block=DEFAULT_BLOCK):
-        heads = {}
-        tails = {}
-        q = 0
-        for c in range(1, sigma + 1):
-            hv, tv = [], []
-            while q < len(run_symbols) and run_symbols[q] == c:
-                hv.append(head_vals[q])
-                tv.append(tail_vals[q])
-                q += 1
-            heads[c] = BlockedDeltaSeq(hv, block)
-            tails[c] = BlockedDeltaSeq(tv, block)
-        return cls(n, sigma, C, i_psi, run_symbols, heads, tails, block)
 
     def run_count(self, c):
         return self.first_run[c + 1] - self.first_run[c]
@@ -72,6 +52,9 @@ class PsiRuns:
     def tail_value(self, q):
         c = self.symbol_of_run(q)
         return self.tails[c].access(q - self.first_run[c] + 1)
+
+    def run_start(self, q):
+        return self.i_psi[q - 1]
 
     def run_end(self, q):
         return self.i_psi[q] - 1 if q < self.r else self.n
@@ -106,19 +89,16 @@ class PsiRuns:
             return None
         return sp2, ep2
 
-    def count_range(self, syms):
-        rng = (1, self.n)
-        for c in reversed(syms):
-            if not 1 <= c <= self.sigma:
-                return None
-            rng = self.backward_step(rng, c)
-            if rng is None:
-                return None
-        return rng
-
-    def count(self, syms):
-        rng = self.count_range(syms)
-        return 0 if rng is None else rng[1] - rng[0] + 1
+    def toehold_run(self, sp, ep, c):
+        """How a step by c moves the toehold SA[sp]: 0 when it just drops
+        by one (sp lies inside a run of c's block), else the global run
+        whose head sample it becomes; None when c does not occur."""
+        if self.run_count(c) == 0:
+            return None
+        p = self.heads[c].pred(sp)
+        if p is not None and sp <= self.tails[c].access(p[1]):
+            return 0
+        return self.first_run[c] + (p[1] if p else 0)
 
 
 class RCsa:
@@ -150,34 +130,11 @@ class RCsa:
 
     def count_toehold(self, syms):
         """Backward search keeping SA[sp]; returns (sp, ep, SA[sp]) or None."""
-        runs = self.runs
-        sp, ep = 1, runs.n
-        first = self.sa_first
-        for c in reversed(syms):
-            if not 1 <= c <= runs.sigma:
-                return None
-            rc = runs.run_count(c)
-            if rc == 0:
-                return None
-            heads = runs.heads[c]
-            p = heads.pred(sp)
-            inside = False
-            if p is not None:
-                k = p[1]
-                if sp <= runs.tails[c].access(k):
-                    inside = True
-                knext = k + 1
-            else:
-                knext = 1
-            rng = runs.backward_step((sp, ep), c)
-            if rng is None:
-                return None
-            sp, ep = rng
-            if inside:
-                first -= 1
-            else:
-                first = self.f_sa[runs.first_run[c] + knext - 2]
-        return sp, ep, first
+        th = self.runs.toehold_search(syms)
+        if th is None:
+            return None
+        sp, ep, g, after = th
+        return sp, ep, (self.f_sa[g - 1] if g else self.sa_first) - after
 
     def locate(self, syms, sort=False):
         th = self.count_toehold(syms)
@@ -214,14 +171,20 @@ def build_psi_runs(bundle, block=DEFAULT_BLOCK):
             i_psi.append(i)
             head_vals.append(psi[i - 1])
     tail_vals.append(psi[n - 1])
-    run_symbols = [bisect_left(C, pos) - 1 for pos in i_psi]
-    return PsiRuns.from_values(n, sigma, C, i_psi, run_symbols, head_vals,
-                               tail_vals, block)
+    heads = {c: [] for c in range(1, sigma + 1)}
+    tails = {c: [] for c in range(1, sigma + 1)}
+    for pos, h, t in zip(i_psi, head_vals, tail_vals):
+        c = bisect_left(C, pos) - 1
+        heads[c].append(h)
+        tails[c].append(t)
+    return PsiRuns(n, sigma, C, i_psi,
+                   {c: BlockedDeltaSeq(v, block) for c, v in heads.items()},
+                   {c: BlockedDeltaSeq(v, block) for c, v in tails.items()},
+                   block)
 
 
-def build_rcsa(bundle, block=DEFAULT_BLOCK, runs=None):
-    if runs is None:
-        runs = build_psi_runs(bundle, block)
+def build_rcsa(bundle, block=DEFAULT_BLOCK):
+    runs = build_psi_runs(bundle, block)
     sa = bundle.sa
     r = runs.r
     f_sa = [sa[runs.i_psi[q] - 1] for q in range(r)]

@@ -33,25 +33,11 @@ class RIndex:
 
     def count_toehold(self, syms):
         """Backward search keeping SA[ep]; returns (sp, ep, SA[ep]) or None."""
-        rl = self.rl
-        sp, ep = 1, rl.n
-        last = self.sa_last
-        for c in reversed(syms):
-            if not 1 <= c <= rl.sigma:
-                return None
-            if rl.bwt_access(ep) == c:
-                last -= 1
-            else:
-                k = rl.letter_seq.rank(c, rl.run_of(ep))
-                if k == 0:
-                    return None
-                p = rl.letter_seq.select(c, k)
-                last = self.samples[p - 1]
-            rng = rl.backward_step((sp, ep), c)
-            if rng is None:
-                return None
-            sp, ep = rng
-        return sp, ep, last
+        th = self.rl.toehold_search(syms)
+        if th is None:
+            return None
+        sp, ep, p, after = th
+        return sp, ep, (self.samples[p - 1] if p else self.sa_last) - after
 
     def count(self, syms):
         return self.rl.count(syms)

@@ -8,12 +8,58 @@ and the C table. bwt positions, runs, and symbols are all 1-based.
 from .succinct import SparseBitvector, SymbolSequence
 
 
-class RunLengthBWT:
-    def __init__(self, n, sigma, run_starts, letters):
+class BackwardSearch:
+    """Backward search, shared by both run structures: a subclass provides
+    n, sigma, backward_step(range, c) and toehold_run(sp, ep, c)."""
+
+    def count_range(self, syms):
+        """Backward search for a symbol list; suffix range or None."""
+        rng = (1, self.n)
+        for c in reversed(syms):
+            if not 1 <= c <= self.sigma:
+                return None
+            rng = self.backward_step(rng, c)
+            if rng is None:
+                return None
+        return rng
+
+    def count(self, syms):
+        rng = self.count_range(syms)
+        return 0 if rng is None else rng[1] - rng[0] + 1
+
+    def toehold_search(self, syms):
+        """Backward search that also tracks where the toehold (SA[ep] on
+        the BWT side, SA[sp] on the Psi side) comes from.
+
+        Returns None when syms does not occur, else (sp, ep, q, after): the
+        toehold is run q's sample minus `after`, or, when q is 0, that of
+        the full range minus `after`.
+        """
+        sp, ep = 1, self.n
+        q = after = 0
+        for c in reversed(syms):
+            if not 1 <= c <= self.sigma:
+                return None
+            p = self.toehold_run(sp, ep, c)
+            if p is None:
+                return None
+            rng = self.backward_step((sp, ep), c)
+            if rng is None:
+                return None
+            sp, ep = rng
+            if p:
+                q, after = p, 0
+            else:
+                after += 1
+        return sp, ep, q, after
+
+
+class RunLengthBWT(BackwardSearch):
+    def __init__(self, n, sigma, start, letters):
         self.n = n
         self.sigma = sigma
         self.r = len(letters)
-        self.start = SparseBitvector(run_starts, n)
+        self.start = start            # SparseBitvector of run starts
         self.letters = list(letters)
         self.letter_seq = SymbolSequence(letters)
         starts = self.start.positions
@@ -40,6 +86,10 @@ class RunLengthBWT:
     def run_of(self, j):
         """Index of the run containing bwt position j."""
         return self.start.rank1(j)
+
+    def run_start(self, p):
+        """First bwt position of run p."""
+        return self.start.positions[p - 1]
 
     def run_end(self, p):
         """Last bwt position of run p."""
@@ -75,20 +125,14 @@ class RunLengthBWT:
             return None
         return sp2, ep2
 
-    def count_range(self, syms):
-        """Backward search for a symbol list; suffix range or None."""
-        rng = (1, self.n)
-        for c in reversed(syms):
-            if not 1 <= c <= self.sigma:
-                return None
-            rng = self.backward_step(rng, c)
-            if rng is None:
-                return None
-        return rng
-
-    def count(self, syms):
-        rng = self.count_range(syms)
-        return 0 if rng is None else rng[1] - rng[0] + 1
+    def toehold_run(self, sp, ep, c):
+        """How a step by c moves the toehold SA[ep]: 0 when it just drops
+        by one, else the run whose end sample it becomes; None when c does
+        not occur in bwt[sp..ep]."""
+        if self.bwt_access(ep) == c:
+            return 0
+        k = self.letter_seq.rank(c, self.run_of(ep))
+        return self.letter_seq.select(c, k) if k else None
 
 
 def build_rlbwt(bundle):
@@ -96,4 +140,5 @@ def build_rlbwt(bundle):
     n = bundle.n
     run_starts = [1] + [j + 1 for j in range(1, n) if bwt[j] != bwt[j - 1]]
     letters = [bwt[p - 1] for p in run_starts]
-    return RunLengthBWT(n, bundle.text.sigma, run_starts, letters)
+    return RunLengthBWT(n, bundle.text.sigma, SparseBitvector(run_starts, n),
+                        letters)

@@ -1,52 +1,46 @@
-"""Subsampled Psi-run suffix array.
+"""Subsampled Psi-run suffix array: the Psi-side mirror of srindex.py.
 
 The head samples (SA values at Psi-run starts) are subsampled with a
-right-to-left sweep, the mirror image of the BWT-side rule: a sample is
-dropped when the running right survivor and the original left neighbor
-are within distance s. Marks whose paired head sample was dropped
-disappear. Lost toeholds are recovered by Psi walks of fewer than s steps;
-locating resolves ranges left to right, recursing through Psi images and
-falling back to the iphi chain at depth s - 1.
+right-to-left sweep, which is the BWT side's left-to-right sweep on
+mirrored values: a sample is dropped when the running right survivor and
+the original left neighbor are within distance s. Marks whose paired head
+sample was dropped disappear. Lost toeholds are recovered by Psi walks of
+fewer than s steps; locating resolves ranges left to right through Psi
+images and falls back to the iphi chain at depth s - 1. All of that is the
+shared core in srindex.Subsampled; this module only fixes the direction.
 
 Variants mirror the BWT side: variant 1 keeps a validity bit per
 surviving mark gap (removed marks below the mark), variant 2 adds the
 distance from the mark down to the nearest removed one.
 """
 
-from .succinct import DenseBitvector, SparseBitvector
+from .rcsa import DEFAULT_BLOCK, build_rcsa
+from .srindex import Subsampled, subsample
 
 
 def subsample_back(sorted_values, s):
     """Right-to-left sweep; returns (kept list, removed set)."""
-    m = len(sorted_values)
-    if m <= 2 or s <= 1:
-        return list(sorted_values), set()
-    kept = [sorted_values[-1]]
-    removed = set()
-    for i in range(m - 2, 0, -1):
-        if kept[-1] - sorted_values[i - 1] <= s:
-            removed.add(sorted_values[i])
-        else:
-            kept.append(sorted_values[i])
-    kept.append(sorted_values[0])
-    kept.reverse()
-    return kept, removed
+    kept, removed = subsample([-v for v in reversed(sorted_values)], s)
+    return [-v for v in reversed(kept)], {-v for v in removed}
 
 
-class SrCsa:
+class SrCsa(Subsampled):
+    DIR = 1       # Psi: SA[Psi(i)] = SA[i] + 1
+    SHIFT = 0     # samples are SA[run head]; iphi takes SA
+
     def __init__(self, runs, s, variant, removed, samples_sub, marks_l,
-                 mark_map, sa_first, valid=None, valid_area=None):
+                 mark_map, valid=None, valid_area=None):
+        super().__init__(s, variant, removed, samples_sub, mark_map, valid,
+                         valid_area)
         self.runs = runs
         self.n = runs.n
-        self.s = s
-        self.variant = variant
-        self.removed = removed            # DenseBitvector over runs
-        self.samples_sub = samples_sub    # surviving head samples, run order
+        self.sa_first = runs.n            # SA[1] = n, never removed
         self.marks_l = marks_l
-        self.mark_map = mark_map          # k-th mark -> slot in samples_sub
-        self.sa_first = sa_first          # SA[1] = n, never removed
-        self.valid = valid
-        self.valid_area = valid_area
+
+    def _direction(self):
+        runs = self.runs
+        return (runs, self.sa_first, runs.psi, runs.run_start, runs.run_end,
+                self.iphi, self._iphi_safe)
 
     # -- iphi on the surviving marks --------------------------------------
 
@@ -81,174 +75,17 @@ class SrCsa:
     def count(self, syms):
         return self.runs.count(syms)
 
-    def count_toehold(self, syms, counters=None):
-        """Backward search with deferred toehold resolution."""
-        runs = self.runs
-        sp, ep = 1, runs.n
-        hard = None  # (global run whose head is the new sp, chars so far)
-        m = 0
-        for idx, c in enumerate(reversed(syms)):
-            if not 1 <= c <= runs.sigma:
-                return None
-            rc = runs.run_count(c)
-            if rc == 0:
-                return None
-            p = runs.heads[c].pred(sp)
-            inside = False
-            if p is not None:
-                k = p[1]
-                if sp <= runs.tails[c].access(k):
-                    inside = True
-                knext = k + 1
-            else:
-                knext = 1
-            rng = runs.backward_step((sp, ep), c)
-            if rng is None:
-                return None
-            sp, ep = rng
-            if not inside:
-                hard = (runs.first_run[c] + knext - 1, idx)
-            m = idx + 1
-        if hard is None:
-            first = self.sa_first - m
-        else:
-            g, idx = hard
-            if self.removed.get(g):
-                val, steps = self._walk_forward(self.runs.i_psi[g - 1])
-                if counters is not None:
-                    counters.record(steps)
-                sa_sp = val
-            else:
-                sa_sp = self.samples_sub[self.removed.rank0(g) - 1]
-            first = sa_sp - (m - 1 - idx)
-        return sp, ep, first
-
-    def _walk_forward(self, j):
-        """Psi-walk from a run head whose sample was removed until a
-        surviving run-head sample; returns (SA[j], steps)."""
-        runs = self.runs
-        k = 0
-        while True:
-            j = runs.psi(j)
-            k += 1
-            q = runs.run_of(j)
-            if j == runs.i_psi[q - 1] and not self.removed.get(q):
-                slot = self.removed.rank0(q)
-                return self.samples_sub[slot - 1] - k, k
-
     def locate(self, syms, sort=False, counters=None):
-        th = self.count_toehold(syms, counters)
-        if th is None:
-            return []
-        sp, ep, first = th
-        out = [first]
-        if ep > sp:
-            self._resolve(sp + 1, ep, first, 0, out, counters)
-        if sort:
-            out.sort()
-        return out
-
-    def _resolve(self, a, b, prev_val, k, out, counters):
-        """Report original SA values of positions a..b, left to right.
-
-        Positions are the k-fold Psi images of the original range;
-        prev_val is the original SA value of the position left of a.
-        Returns the original SA value at position b.
-        """
-        runs = self.runs
-        pv = prev_val
-        j = a
-        while j <= b:
-            q = runs.run_of(j)
-            if j == runs.i_psi[q - 1] and not self.removed.get(q):
-                v = self.samples_sub[self.removed.rank0(q) - 1] - k
-                if counters is not None:
-                    counters.record(k)
-                out.append(v)
-                pv = v
-                j += 1
-                continue
-            if self.variant and self._iphi_safe(pv):
-                v = self.iphi(pv)
-                if counters is not None:
-                    counters.record(k)
-                out.append(v)
-                pv = v
-                j += 1
-                continue
-            em = min(b, runs.run_end(q))
-            if k + 1 == self.s:
-                v = pv
-                for _ in range(em - j + 1):
-                    v = self.iphi(v)
-                    if counters is not None:
-                        counters.record(k)
-                    out.append(v)
-                pv = v
-            else:
-                pv = self._resolve(runs.psi(j), runs.psi(em), pv,
-                                   k + 1, out, counters)
-            j = em + 1
-        return pv
+        return self._locate(syms, sort, counters)
 
 
-def build_srcsa(bundle, s, variant=0, block=None, rcsa=None):
-    from .rcsa import DEFAULT_BLOCK, build_rcsa
-
-    if rcsa is None:
-        rcsa = build_rcsa(bundle, block if block else DEFAULT_BLOCK)
-    return subsample_rcsa(rcsa, s, variant)
+def build_srcsa(bundle, s, variant=0, block=DEFAULT_BLOCK):
+    return subsample_rcsa(build_rcsa(bundle, block), s, variant)
 
 
 def subsample_rcsa(rcsa, s, variant=0):
     """Build the subsampled index from a full one."""
-    runs = rcsa.runs
-    r = runs.r
-    f_sa = rcsa.f_sa
-    _, removed_vals = subsample_back(sorted(f_sa), s)
-    removed_bits = [1 if f_sa[q] in removed_vals else 0 for q in range(r)]
-    removed = DenseBitvector(removed_bits)
-    samples_sub = [f_sa[q] for q in range(r) if not removed_bits[q]]
-    removed_pfx = [0]
-    for bit in removed_bits:
-        removed_pfx.append(removed_pfx[-1] + bit)
-
-    kept_marks = []
-    removed_marks = []
     # the k-th mark of the full index pairs with run mark_map[k]'s head
-    for k in range(rcsa.marks_l.ones):
-        mval = rcsa.marks_l.positions[k]
-        g = rcsa.mark_map[k]
-        if removed_bits[g - 1]:
-            removed_marks.append(mval)
-        else:
-            kept_marks.append((mval, g - removed_pfx[g]))
-    kept_marks.sort()
-    removed_marks.sort()
-    marks_l = SparseBitvector([m for m, _ in kept_marks], runs.n)
-    mark_map = [slot for _, slot in kept_marks]
-
-    valid = valid_area = None
-    if variant:
-        ms = [m for m, _ in kept_marks]
-        x = len(ms)
-        bits = []
-        areas = []
-        from bisect import bisect_left
-        for g in range(x):
-            hi = ms[g]
-            lo = ms[g - 1] if g else ms[-1] - runs.n
-            # removed marks in (lo, hi), cyclically for the first gap
-            i1 = bisect_left(removed_marks, hi) - 1
-            if i1 >= 0 and removed_marks[i1] > lo:
-                bits.append(0)
-                areas.append(hi - removed_marks[i1])
-            elif g == 0 and removed_marks and removed_marks[-1] - runs.n > lo:
-                bits.append(0)
-                areas.append(hi - (removed_marks[-1] - runs.n))
-            else:
-                bits.append(1)
-        valid = DenseBitvector(bits)
-        valid_area = areas if variant == 2 else None
-    return SrCsa(runs, s, variant, removed, samples_sub, marks_l, mark_map,
-                 rcsa.sa_first, valid, valid_area)
+    marks = zip(rcsa.marks_l.positions, rcsa.mark_map)
+    return SrCsa(rcsa.runs, s, variant,
+                 *SrCsa._parts(rcsa.f_sa, marks, s, variant, rcsa.n))

@@ -1,16 +1,28 @@
-"""Subsampled run-sampled locating.
+"""Subsampled run-sampled locating, written once for both sides.
 
 A left-to-right sweep over the sorted sample values drops a sample when it
 and its successor both sit within distance s of the last survivor; first
 and last are always kept. Marks whose paired sample was dropped disappear
-too. Lost SA values are recovered at query time with short LF walks, never
-longer than s - 1 steps.
+too. Lost SA values are recovered at query time with walks never longer
+than s - 1 steps.
 
 Variants add per-mark validity data so phi can be reused directly when no
 removed mark blocks it: variant 1 keeps one bit per surviving mark,
 variant 2 also keeps the distance to the nearest removed mark.
+
+The BWT side (SrIndex, here) and the Psi side (SrCsa, in srcsa.py) differ
+only in direction. SrIndex walks LF, samples run ends, resolves a range
+right to left and reuses phi; SrCsa walks Psi, samples run heads, resolves
+left to right and reuses inverse phi. Everything else lives in Subsampled:
+the toehold recovery walk, the range resolver behind locate, and the build
+step, where the Psi side's sweep and validity data are the BWT side's on
+mirrored (negated) text positions.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
+
+from .rindex import build_rindex
 from .succinct import DenseBitvector, SparseBitvector
 
 
@@ -45,20 +57,176 @@ def subsample(sorted_values, s):
     return kept, removed
 
 
-class SrIndex:
-    def __init__(self, rl, s, variant, removed, samples_sub, marks, mark_map,
-                 sa_last, valid=None, valid_area=None):
-        self.rl = rl
-        self.n = rl.n
+class Subsampled:
+    """Locating on subsampled run samples; a subclass fixes the direction.
+
+    DIR is how one walk step changes an SA value (LF: -1, Psi: +1), which
+    is also the direction a range resolves in, away from its toehold.
+    Samples and phi arguments hold SA values minus SHIFT. _direction()
+    gives the run structure, the toehold of the full range, the walk step,
+    the run edge that carries a sample (near), the other edge (far), and
+    phi with its safety check.
+    """
+
+    def __init__(self, s, variant, removed, samples_sub, mark_map, valid,
+                 valid_area):
         self.s = s
         self.variant = variant
         self.removed = removed            # DenseBitvector over runs
         self.samples_sub = samples_sub    # surviving samples, run order
-        self.marks = marks                # SparseBitvector, value+1
         self.mark_map = mark_map          # k-th mark -> slot in samples_sub
-        self.sa_last = sa_last
         self.valid = valid                # DenseBitvector per mark gap
         self.valid_area = valid_area      # distances for invalid gaps
+
+    @classmethod
+    def _parts(cls, samples, marks, s, variant, n):
+        """The build step of both sides.
+
+        samples[q-1] is run q's sample; marks are (stored position, run whose
+        sample the mark pairs with). The Psi side (DIR = +1) runs the BWT
+        side's sweep and validity rules on negated text positions. Returns
+        the constructor arguments (removed, samples_sub, marks, mark_map,
+        valid, valid_area).
+        """
+        sign = -cls.DIR
+        _, dropped = subsample(sorted(sign * v for v in samples), s)
+        gone = [1 if sign * v in dropped else 0 for v in samples]
+        gone_pfx = list(accumulate(gone, initial=0))
+        kept, lost = [], []
+        for pos, q in marks:
+            if gone[q - 1]:
+                lost.append(sign * pos)
+            else:
+                kept.append((pos, q - gone_pfx[q]))
+        kept.sort()
+        valid = valid_area = None
+        if variant:
+            bits, areas = _validity(sorted(sign * p for p, _ in kept),
+                                    sorted(lost), n)
+            if sign < 0:
+                bits.reverse()
+                areas.reverse()
+            valid = DenseBitvector(bits)
+            valid_area = areas if variant == 2 else None
+        return (DenseBitvector(gone),
+                [v for v, bit in zip(samples, gone) if not bit],
+                SparseBitvector([p for p, _ in kept], n),
+                [slot for _, slot in kept], valid, valid_area)
+
+    def count_toehold(self, syms, counters=None):
+        """Backward search with deferred toehold resolution; returns
+        (sp, ep, toehold) or None, the toehold being SA[ep] on the BWT side
+        and SA[sp] on the Psi side."""
+        runs, toehold, step, near = self._direction()[:4]
+        th = runs.toehold_search(syms)
+        if th is None:
+            return None
+        sp, ep, q, after = th
+        if q:
+            removed = self.removed
+            k = 0
+            if removed.get(q):
+                # walk on to the next kept sample: at most s - 1 steps
+                j = near(q)
+                while True:
+                    j = step(j)
+                    k += 1
+                    q = runs.run_of(j)
+                    if j == near(q) and not removed.get(q):
+                        break
+                if counters is not None:
+                    counters.record(k)
+            toehold = self.samples_sub[removed.rank0(q) - 1] - self.DIR * k
+        return sp, ep, toehold - after
+
+    def _locate(self, syms, sort, counters):
+        th = self.count_toehold(syms, counters)
+        if th is None:
+            return []
+        sp, ep, v = th
+        out = [v]
+        runs, _, step, near, far, phi, safe = self._direction()
+        run_of = runs.run_of
+        removed, samples = self.removed, self.samples_sub
+        d, shift, s, variant = self.DIR, self.SHIFT, self.s, self.variant
+        # Frames (j, stop, k) report positions j, j + d, ..., stop, which
+        # are the k-step images of query positions; v is always the SA
+        # value reported last, that of the query position just behind j.
+        # Depth reaches s - 1, so an explicit stack stands in for recursion.
+        stack = [(sp + 1, ep, 0)] if d > 0 else [(ep - 1, sp, 0)]
+        while stack:
+            j, stop, k = stack.pop()
+            while (stop - j) * d >= 0:
+                q = run_of(j)
+                if j == near(q) and not removed.get(q):
+                    v = samples[removed.rank0(q) - 1] + shift - d * k
+                elif variant and safe(v - shift):
+                    v = phi(v - shift)
+                else:
+                    # j up to the far edge of run q is one run piece: it
+                    # steps to a contiguous range one level deeper
+                    edge = far(q)
+                    if (stop - edge) * d < 0:
+                        edge = stop
+                    if k + 1 < s:
+                        stack.append((edge + d, stop, k))
+                        stack.append((step(j), step(edge), k + 1))
+                        break
+                    # at depth s - 1, phi alone fills the piece
+                    for _ in range((edge - j) * d + 1):
+                        v = phi(v - shift)
+                        if counters is not None:
+                            counters.record(k)
+                        out.append(v)
+                    j = edge + d
+                    continue
+                if counters is not None:
+                    counters.record(k)
+                out.append(v)
+                j += d
+        if sort:
+            out.sort()
+        return out
+
+
+def _validity(ms, lost, n):
+    """Per gap after each kept mark (cyclically): bit 1 when no removed
+    mark lies in it, else bit 0 and the distance to the first one."""
+    bits, areas = [], []
+    x = len(ms)
+    for g in range(x):
+        lo = ms[g]
+        hi = ms[g + 1] if g + 1 < x else ms[0] + n
+        i0 = bisect_right(lost, lo)
+        if i0 < len(lost) and lost[i0] < hi:
+            first = lost[i0]
+        elif g + 1 == x and lost and lost[0] + n < hi:
+            first = lost[0] + n
+        else:
+            bits.append(1)
+            continue
+        bits.append(0)
+        areas.append(first - lo)
+    return bits, areas
+
+
+class SrIndex(Subsampled):
+    DIR = -1      # LF: SA[LF(j)] = SA[j] - 1
+    SHIFT = 1     # samples are SA[run end] - 1; phi takes SA - 1
+
+    def __init__(self, rl, s, variant, sa_last, removed, samples_sub, marks,
+                 mark_map, valid=None, valid_area=None):
+        super().__init__(s, variant, removed, samples_sub, mark_map, valid,
+                         valid_area)
+        self.rl = rl
+        self.n = rl.n
+        self.sa_last = sa_last            # SA[n]
+        self.marks = marks                # SparseBitvector, value+1
+
+    def _direction(self):
+        rl = self.rl
+        return (rl, self.sa_last, rl.lf_step, rl.run_end, rl.run_start,
+                self.phi, self._phi_safe)
 
     # -- phi on the surviving marks --------------------------------------
 
@@ -93,172 +261,19 @@ class SrIndex:
     def count(self, syms):
         return self.rl.count(syms)
 
-    def count_toehold(self, syms, counters=None):
-        """Backward search with deferred toehold resolution."""
-        rl = self.rl
-        sp, ep = 1, rl.n
-        hard = None  # (run of the last mismatching step, chars remaining)
-        m = 0
-        for idx, c in enumerate(reversed(syms)):
-            if not 1 <= c <= rl.sigma:
-                return None
-            if rl.bwt_access(ep) != c:
-                k = rl.letter_seq.rank(c, rl.run_of(ep))
-                if k == 0:
-                    return None
-                hard = (rl.letter_seq.select(c, k), idx)
-            rng = rl.backward_step((sp, ep), c)
-            if rng is None:
-                return None
-            sp, ep = rng
-            m = idx + 1
-        if hard is None:
-            last = self.sa_last - m
-        else:
-            p, idx = hard
-            if self.removed.get(p):
-                val, steps = self._walk_back(rl.run_end(p))
-                if counters is not None:
-                    counters.record(steps)
-                sa_ep = val - 1
-            else:
-                sa_ep = self.samples_sub[self.removed.rank0(p) - 1]
-            last = sa_ep - (m - 1 - idx)
-        return sp, ep, last
-
-    def _walk_back(self, j):
-        """LF-walk from a run-end whose sample was removed until a surviving
-        run-end sample; returns (SA[j], steps). Bounded by s - 1 steps."""
-        rl = self.rl
-        k = 0
-        while True:
-            j = rl.lf_step(j)
-            k += 1
-            q = rl.run_of(j)
-            if rl.is_run_end(j) and not self.removed.get(q):
-                slot = self.removed.rank0(q)
-                return self.samples_sub[slot - 1] + 1 + k, k
-
     def locate(self, syms, sort=False, counters=None):
-        th = self.count_toehold(syms, counters)
-        if th is None:
-            return []
-        sp, ep, last = th
-        out = [last]
-        if ep > sp:
-            self._resolve(sp, ep - 1, last, 0, out, counters)
-        if sort:
-            out.sort()
-        return out
-
-    def _resolve(self, a, b, next_val, k, out, counters):
-        """Report original SA values of bwt positions a..b, right to left.
-
-        Positions here are the k-fold LF images of the original range;
-        next_val is the original SA value of the position right of b.
-        Returns the original SA value at position a.
-        """
-        rl = self.rl
-        nv = next_val
-        j = b
-        while j >= a:
-            q = rl.run_of(j)
-            if rl.is_run_end(j) and not self.removed.get(q):
-                v = self.samples_sub[self.removed.rank0(q) - 1] + 1 + k
-                if counters is not None:
-                    counters.record(k)
-                out.append(v)
-                nv = v
-                j -= 1
-                continue
-            if self.variant and self._phi_safe(nv - 1):
-                v = self.phi(nv - 1)
-                if counters is not None:
-                    counters.record(k)
-                out.append(v)
-                nv = v
-                j -= 1
-                continue
-            sm = max(a, rl.start.positions[q - 1])
-            if k + 1 == self.s:
-                v = nv
-                for _ in range(j - sm + 1):
-                    v = self.phi(v - 1)
-                    if counters is not None:
-                        counters.record(k)
-                    out.append(v)
-                nv = v
-            else:
-                nv = self._resolve(rl.lf_step(sm), rl.lf_step(j), nv,
-                                   k + 1, out, counters)
-            j = sm - 1
-        return nv
+        return self._locate(syms, sort, counters)
 
 
-def build_srindex(bundle, s, variant=0, rl=None, rindex=None):
-    from .rindex import build_rindex
-
-    if rindex is None:
-        rindex = build_rindex(bundle, rl)
-    rl = rindex.rl
-    return subsample_rindex(rindex, s, variant)
+def build_srindex(bundle, s, variant=0):
+    return subsample_rindex(build_rindex(bundle), s, variant)
 
 
 def subsample_rindex(rindex, s, variant=0):
     """Build the subsampled index from a full one."""
     rl = rindex.rl
-    r = rl.r
-    samples = rindex.samples
-    _, removed_vals = subsample(sorted(samples), s)
-    removed_bits = [1 if samples[p] in removed_vals else 0 for p in range(r)]
-    removed = DenseBitvector(removed_bits)
-    samples_sub = [samples[p] for p in range(r) if not removed_bits[p]]
-
-    # run q's first-position mark pairs with the sample of run q-1 (cyclic)
-    kept_marks = []
-    removed_marks = []
-    removed_pfx = [0]
-    for b in removed_bits:
-        removed_pfx.append(removed_pfx[-1] + b)
-    # the k-th mark of the full index belongs to run first_to_run[k] and
-    # has value first.positions[k]-1
-    for k in range(rindex.first.ones):
-        mval = rindex.first.positions[k] - 1
-        q = rindex.first_to_run[k]
-        prev = q - 1 if q >= 2 else r
-        if removed_bits[prev - 1]:
-            removed_marks.append(mval)
-        else:
-            slot = prev - removed_pfx[prev]
-            kept_marks.append((mval, slot))
-    kept_marks.sort()
-    removed_marks.sort()
-    marks = SparseBitvector([m + 1 for m, _ in kept_marks], rl.n)
-    mark_map = [slot for _, slot in kept_marks]
-
-    valid = valid_area = None
-    if variant:
-        ms = [m for m, _ in kept_marks]
-        x = len(ms)
-        bits = []
-        areas = []
-        from bisect import bisect_right
-        for g in range(x):
-            lo = ms[g]
-            hi = ms[g + 1] if g + 1 < x else ms[0] + rl.n
-            # removed marks in (lo, hi), cyclically for the last gap
-            i0 = bisect_right(removed_marks, lo)
-            if i0 < len(removed_marks) and removed_marks[i0] < hi:
-                bits.append(0)
-                areas.append(removed_marks[i0] - lo)
-            elif g + 1 == x and removed_marks and removed_marks[0] + rl.n < hi:
-                bits.append(0)
-                areas.append(removed_marks[0] + rl.n - lo)
-            else:
-                bits.append(1)
-        valid = DenseBitvector(bits)
-        valid_area = areas if variant == 2 else None
-        if variant == 1:
-            valid_area = None
-    return SrIndex(rl, s, variant, removed, samples_sub, marks, mark_map,
-                   rindex.sa_last, valid, valid_area)
+    # run p's first-position mark pairs with the sample of run p-1 (cyclic)
+    marks = [(pos, p - 1 if p >= 2 else rl.r)
+             for pos, p in zip(rindex.first.positions, rindex.first_to_run)]
+    return SrIndex(rl, s, variant, rindex.sa_last,
+                   *SrIndex._parts(rindex.samples, marks, s, variant, rl.n))

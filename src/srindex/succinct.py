@@ -221,9 +221,6 @@ class SymbolSequence:
         for i, c in enumerate(self.seq, 1):
             self.occ.setdefault(c, []).append(i)
 
-    def __len__(self):
-        return len(self.seq)
-
     def __getitem__(self, i):
         """Symbol at 1-based position i."""
         return self.seq[i - 1]
@@ -239,10 +236,6 @@ class SymbolSequence:
         if not pos or not 1 <= k <= len(pos):
             raise IndexError("select out of range")
         return pos[k - 1]
-
-    def count(self, c):
-        pos = self.occ.get(c)
-        return len(pos) if pos else 0
 
 
 def delta_append(stream, nbits, value):

@@ -18,26 +18,23 @@ class Text:
         self.n = len(symbols)
         self.alphabet = alphabet          # alphabet[sym-1] = original byte
         self.sigma = len(alphabet)
+        self.codes = symbol_codes(alphabet)  # byte -> symbol
 
     def map_pattern(self, pattern):
-        """bytes -> symbol list, or None if a byte is outside the alphabet."""
-        out = []
-        for b in pattern:
-            if b == TERMINATOR:
-                return None
-            k = _find(self.alphabet, b)
-            if k is None:
-                return None
-            out.append(k)
-        return out
+        return pattern_symbols(self.codes, pattern)
 
 
-def _find(alphabet, b):
-    from bisect import bisect_left
-    k = bisect_left(alphabet, b)
-    if k < len(alphabet) and alphabet[k] == b:
-        return k + 1
-    return None
+def symbol_codes(alphabet):
+    """byte -> symbol for each byte a pattern may hold: the whole alphabet
+    but its first entry, the terminator."""
+    return {b: c for c, b in enumerate(alphabet[1:], 2)}
+
+
+def pattern_symbols(codes, pattern):
+    """bytes -> symbol list, or None if the pattern is empty or holds a
+    byte outside codes; either way it cannot occur in the text."""
+    syms = [codes.get(b) for b in pattern]
+    return syms if syms and None not in syms else None
 
 
 def flatten_fasta(data):
@@ -123,7 +120,7 @@ def build_bundle(text):
 def oracle_search(text, pattern):
     """Naive scan. pattern is bytes; returns (occ, sorted 1-based starts)."""
     syms = text.map_pattern(pattern)
-    if syms is None or not syms:
+    if syms is None:
         return 0, []
     # symbols fit in a byte after the -1 shift (sigma <= 256)
     hay = bytes(v - 1 for v in text.symbols[:-1])

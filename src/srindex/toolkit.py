@@ -11,9 +11,10 @@ from . import envelope
 from .rcsa import DEFAULT_BLOCK, build_psi_runs, build_rcsa
 from .rindex import build_rindex
 from .rlbwt import build_rlbwt
-from .srcsa import build_srcsa
-from .srindex import build_srindex
-from .textcore import build_bundle, ingest, oracle_search
+from .srcsa import build_srcsa, subsample_rcsa
+from .srindex import build_srindex, subsample_rindex
+from .textcore import (build_bundle, ingest, oracle_search, pattern_symbols,
+                       symbol_codes)
 
 KINDS = list(envelope.KINDS)
 SUBSAMPLED_KINDS = ("sr-index", "sr-csa")
@@ -26,16 +27,10 @@ class BuiltIndex:
         self.ix = ix
         self.kind = kind
         self.alphabet = alphabet
-        self._map = {b: i + 1 for i, b in enumerate(alphabet)}
+        self._codes = symbol_codes(alphabet)
 
     def map_pattern(self, pattern):
-        out = []
-        for b in pattern:
-            c = self._map.get(b)
-            if c is None or c == 1:
-                return None
-            out.append(c)
-        return out
+        return pattern_symbols(self._codes, pattern)
 
     def count(self, pattern):
         syms = self.map_pattern(pattern)
@@ -60,6 +55,8 @@ def build_index(data, kind, s=None, variant=0, block=DEFAULT_BLOCK,
     """Raw bytes -> BuiltIndex of the requested kind."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if block < 1:
+        raise ValueError("block size B must be at least 1")
     if kind in SUBSAMPLED_KINDS:
         if s is None or s < 1:
             raise ValueError(f"{kind} needs a sampling distance s >= 1")
@@ -185,6 +182,10 @@ def verify(data, kinds=None, s_values=(4, 8), seed=0,
     """
     if kinds is None:
         kinds = KINDS
+    unknown = [k for k in kinds if k not in KINDS]
+    if unknown:
+        raise ValueError(f"unknown kind(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(KINDS)}")
     text = ingest(data, fasta=fasta)
     if text.n > VERIFY_MAX_N:
         raise ValueError(f"text too large to verify (n > {VERIFY_MAX_N})")
@@ -212,21 +213,12 @@ def verify(data, kinds=None, s_values=(4, 8), seed=0,
     for kind in kinds:
         mismatches = 0
         checked = 0
-        indexes = []
-        if kind == "rlbwt":
-            indexes = [rl]
-        elif kind == "r-index":
-            indexes = [rindex]
-        elif kind == "r-csa":
-            indexes = [rcsa]
-        elif kind == "sr-index":
-            from .srindex import subsample_rindex
-            indexes = [subsample_rindex(rindex, s, v)
-                       for s in s_values for v in (0, 1, 2)]
-        elif kind == "sr-csa":
-            from .srcsa import subsample_rcsa
-            indexes = [subsample_rcsa(rcsa, s, v)
-                       for s in s_values for v in (0, 1, 2)]
+        if kind in SUBSAMPLED_KINDS:
+            sub, full = ((subsample_rindex, rindex) if kind == "sr-index"
+                         else (subsample_rcsa, rcsa))
+            indexes = [sub(full, s, v) for s in s_values for v in (0, 1, 2)]
+        else:
+            indexes = [{"rlbwt": rl, "r-index": rindex, "r-csa": rcsa}[kind]]
         for ix in indexes:
             for pat in patterns:
                 occ, positions = oracle_search(text, pat)

@@ -114,3 +114,19 @@ class TestErrors:
         with pytest.raises(ValueError):
             run(["build", str(corpus), "-o", str(tmp_path / "x"),
                  "--kind", "r-index", "--variant", "1"], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "CORPUS", "--kinds", "sr-idx"],
+        ["query", "INDEX", "CORPUS", "--mode", "locate"],
+        ["query", "CORPUS", "CORPUS"],
+    ])
+    def test_one_line_error_exit_2(self, argv, corpus, tmp_path, capsys):
+        idx = tmp_path / "ix.bin"
+        run(["build", str(corpus), "-o", str(idx), "--kind", "rlbwt"], capsys)
+        argv = [str(corpus) if a == "CORPUS" else str(idx) if a == "INDEX"
+                else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex import envelope, toolkit
-from srindex.textcore import ingest
+from srindex.textcore import ingest, oracle_search
 
 ALL_BUILDS = [
     ("rlbwt", None, 0), ("r-index", None, 0), ("r-csa", None, 0),
@@ -43,6 +43,29 @@ class TestBuildIndex:
                     assert bi.locate(pat, sort=True) == want
         with pytest.raises(ValueError):
             toolkit.build_index(data, "rlbwt").locate(b"a")
+
+
+class TestQueries:
+    @pytest.mark.parametrize("kind,s", [("rlbwt", None), ("r-index", None),
+                                        ("sr-index", 4), ("r-csa", None),
+                                        ("sr-csa", 4)])
+    def test_empty_pattern_matches_oracle(self, kind, s):
+        bi = toolkit.build_index(b"abracadabra", kind, s=s)
+        assert oracle_search(ingest(b"abracadabra"), b"") == (0, [])
+        assert bi.map_pattern(b"") is None
+        assert bi.count(b"") == 0
+        if kind != "rlbwt":
+            assert bi.locate(b"") == []
+
+    @pytest.mark.parametrize("kind", toolkit.SUBSAMPLED_KINDS)
+    def test_locate_at_s3000(self, kind):
+        # walks and range resolution nest up to s - 1 = 2999 levels deep
+        data = toolkit.gen_corpus(20_000, 10, 0.001, seed=3)
+        bi = toolkit.build_index(data, kind, s=3000)
+        pat = data[150_000:150_012]
+        want = oracle_search(ingest(data), pat)[1]
+        assert len(want) > 1
+        assert sorted(bi.locate(pat)) == want
 
 
 class TestEnvelope:
@@ -143,6 +166,11 @@ class TestVerify:
                 tk.verify(b"abcdefghijkl")
         finally:
             tk.VERIFY_MAX_N = old
+
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="sr-idx"):
+            toolkit.verify(b"abracadabra", kinds=["sr-idx"])
 
 
 class TestBench:
