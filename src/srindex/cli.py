@@ -154,7 +154,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         rc = args.func(args)
-    except ValueError as exc:  # envelope.FormatError is a ValueError too
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         raise CliError(2) from None
     return rc or 0

@@ -7,9 +7,10 @@ trailing crc32 over everything before it. All integers little-endian.
 One table, FORMAT, says what every kind stores: its classes, the header
 fields their constructors take, and (section, attribute, codec) rows, with
 the run-length BWT and Psi-run groups shared. serialize and deserialize
-only walk it. Rank directories and derived tables are rebuilt on load; the
-load path checks the checksum, that the sections are exactly the ones the
-table names for the kind and variant, and the invariants in CHECKS.
+only walk it. Sparse bitvectors are Elias-Fano coded here, and only here.
+Rank directories and derived tables are rebuilt on load; the load path
+checks the checksum, that the sections are exactly the ones the table
+names for the kind and variant, and the invariants in CHECKS.
 """
 
 import struct
@@ -20,7 +21,7 @@ from .rindex import RIndex
 from .rlbwt import RunLengthBWT
 from .srcsa import SrCsa
 from .srindex import SrIndex
-from .succinct import BlockedDeltaSeq, DenseBitvector, SparseBitvector
+from .succinct import WORD, BlockedDeltaSeq, DenseBitvector, SparseBitvector
 
 MAGIC = b"SRIX"
 FORMAT_VERSION = 1
@@ -64,6 +65,8 @@ def _dense_bytes(bv):
 def _dense_from(blob):
     (n,) = struct.unpack_from("<Q", blob, 0)
     raw = blob[8:]
+    if len(raw) != 8 * -(-n // WORD) or int.from_bytes(raw, "little") >> n:
+        raise FormatError("dense bitvector length mismatch")
     words = [
         int.from_bytes(raw[i:i + 8], "little") for i in range(0, len(raw), 8)
     ]
@@ -71,17 +74,46 @@ def _dense_from(blob):
 
 
 def _sparse_bytes(bv):
-    head = struct.pack("<QQB", bv.n, bv.ones, bv.low_bits)
-    return head + pack_ints(bv.lows) + _dense_bytes(bv.high)
+    """Elias-Fano code (Okanohara and Sadakane, ALENEX 2007) of the sorted
+    positions: n, ones, low_bits, the low low_bits bits of each position
+    minus one as packed ints, then the rest of it in unary, as a dense
+    bitvector where the k-th one (from 0) sits at bit high_k + k."""
+    n, ones = bv.n, bv.ones
+    low_bits = max(0, (n // ones).bit_length() - 1) if ones else 0
+    mask = (1 << low_bits) - 1
+    high_n = ones + ((n - 1) >> low_bits if n else 0)
+    high = bytearray(8 * -(-high_n // WORD))  # 64-bit little-endian words
+    for k, p in enumerate(bv.positions):
+        i = ((p - 1) >> low_bits) + k
+        high[i >> 3] |= 1 << (i & 7)
+    return (struct.pack("<QQB", n, ones, low_bits)
+            + pack_ints([(p - 1) & mask for p in bv.positions])
+            + struct.pack("<Q", high_n) + bytes(high))
 
 
 def _sparse_from(blob):
+    """Decode _sparse_bytes in one pass over the high words."""
     n, ones, low_bits = struct.unpack_from("<QQB", blob, 0)
     lows, off = _ints_at(blob, 17)
-    high = _dense_from(blob[off:])
-    if len(lows) != ones:
+    high = blob[off + 8:]
+    if len(lows) != ones or int.from_bytes(high, "little").bit_count() != ones:
         raise FormatError("sparse bitvector cardinality mismatch")
-    return SparseBitvector.from_ef_parts(n, low_bits, lows, high)
+    positions = []
+    k = prev = 0
+    for q in range(0, len(high), 8):
+        w = int.from_bytes(high[q:q + 8], "little")
+        while w:
+            b = w & -w
+            p = ((8 * q + b.bit_length() - 1 - k) << low_bits | lows[k]) + 1
+            if p <= prev:
+                raise FormatError("sparse bitvector positions not increasing")
+            positions.append(p)
+            prev = p
+            k += 1
+            w ^= b
+    if prev > n:
+        raise FormatError("sparse bitvector position beyond its length")
+    return SparseBitvector(positions, n)
 
 
 def _delta_bytes(seq):
@@ -180,6 +212,16 @@ LOCATING_SECTIONS = {
     row[0] for layers in FORMAT.values() if len(layers) > 1
     for row in layers[-1][3]}
 
+
+def _maps_marks(table, marks, samples):
+    """Check row: table has one entry per mark, each a 1-based index into
+    samples."""
+    return ((table, marks, samples), lambda v, h:
+            len(v[table]) == v[marks].ones
+            and all(1 <= x <= len(v[samples]) for x in v[table]),
+            f"{table} does not map {marks} into {samples}")
+
+
 # Structural invariants the loader checks before building anything, each
 # when all the sections it reads are present: (sections, test over the
 # decoded sections v and the header h, message).
@@ -204,6 +246,17 @@ CHECKS = [
     (("removed", "samples_sub"), lambda v, h: v["removed"].n == h["r"]
      and len(v["samples_sub"]) == h["r"] - v["removed"].ones,
      "subsample tables do not match run count"),
+    _maps_marks("first_to_run", "first", "samples"),
+    _maps_marks("mark_map", "marks", "samples_sub"),
+    _maps_marks("mark_map", "marks_l", "samples_sub"),
+    _maps_marks("mark_map", "marks_l", "f_sa"),
+    (("valid", "marks"), lambda v, h: v["valid"].n == v["marks"].ones,
+     "validity bits do not match marks"),
+    (("valid", "marks_l"), lambda v, h: v["valid"].n == v["marks_l"].ones,
+     "validity bits do not match marks"),
+    (("valid", "valid_area"), lambda v, h:
+     len(v["valid_area"]) == v["valid"].n - v["valid"].ones,
+     "validity areas do not match invalid marks"),
 ]
 
 

@@ -67,7 +67,6 @@ class RunLengthBWT(BackwardSearch):
             (starts[i + 1] if i + 1 < self.r else n + 1) - starts[i]
             for i in range(self.r)
         ]
-        self.run_lengths = lengths
         # per-symbol cumulative run lengths, in bwt run order
         self.lex_cum = {}
         for c in range(1, sigma + 1):

@@ -1,6 +1,6 @@
 """Succinct building blocks: bitvectors with rank/select, a sparse
-(Elias-Fano) bitvector, per-symbol rank/select over short sequences, and
-blocked delta-coded increasing integer sequences.
+bitvector (Elias-Fano coded on disk), per-symbol rank/select over short
+sequences, and blocked delta-coded increasing integer sequences.
 
 Positions are 1-based throughout: rank1(i) counts ones among positions
 1..i, select1(j) returns the position of the j-th one.
@@ -9,7 +9,6 @@ Positions are 1-based throughout: rank1(i) counts ones among positions
 from bisect import bisect_left, bisect_right
 
 WORD = 64
-WORD_MASK = (1 << WORD) - 1
 
 
 class DenseBitvector:
@@ -30,17 +29,6 @@ class DenseBitvector:
         if self.n % WORD:
             self.words.append(w)
         self._build_rank()
-
-    @classmethod
-    def from_positions(cls, positions, length):
-        """positions: sorted 1-based positions of set bits."""
-        bv = cls.__new__(cls)
-        bv.n = length
-        bv.words = [0] * ((length + WORD - 1) // WORD)
-        for p in positions:
-            bv.words[(p - 1) // WORD] |= 1 << ((p - 1) % WORD)
-        bv._build_rank()
-        return bv
 
     @classmethod
     def from_words(cls, words, length):
@@ -97,90 +85,20 @@ class DenseBitvector:
             w >>= 1
             pos += 1
 
-    def select0(self, j):
-        """1-based position of the j-th zero."""
-        if not 1 <= j <= self.n - self.ones:
-            raise IndexError("select0 out of range")
-        lo, hi = 0, len(self.words)
-        # zeros in the first q words: q*WORD - cum[q]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid * WORD - self.cum[mid] < j:
-                lo = mid + 1
-            else:
-                hi = mid
-        q = lo - 1
-        w = self.words[q]
-        k = j - (q * WORD - self.cum[q])
-        pos = q * WORD
-        while True:
-            if not (w & 1):
-                k -= 1
-                if k == 0:
-                    return pos + 1
-            w >>= 1
-            pos += 1
-
-    def predecessor1(self, i):
-        """Largest set position <= i, or None."""
-        k = self.rank1(i)
-        return self.select1(k) if k else None
-
-    def successor1(self, i):
-        """Smallest set position >= i, or None."""
-        k = self.rank1(i - 1) + 1
-        return self.select1(k) if k <= self.ones else None
-
     def __len__(self):
         return self.n
 
 
 class SparseBitvector:
-    """Bitvector for few ones over a large universe, Elias-Fano coded.
-
-    The high halves go into a dense unary bitvector, the low halves into a
-    fixed-width array. A decoded sorted-positions list is kept for fast
-    bisect-based rank/select at query time; only the split is serialized.
-    """
+    """Bitvector for few ones over a large universe, held as the sorted
+    positions of its ones; rank and select bisect them. On disk it is
+    Elias-Fano coded (the SPARSE codec in envelope.py)."""
 
     def __init__(self, positions, length):
         # positions: sorted distinct 1-based positions of set bits
         self.n = length
         self.positions = list(positions)
-        x = len(self.positions)
-        self.ones = x
-        self.low_bits = max(0, (length // x).bit_length() - 1) if x else 0
-        lows = []
-        high_unary = []
-        prev_high = 0
-        mask = (1 << self.low_bits) - 1
-        for p in self.positions:
-            v = p - 1
-            lows.append(v & mask)
-            h = v >> self.low_bits
-            high_unary.extend([0] * (h - prev_high))
-            high_unary.append(1)
-            prev_high = h
-        self.lows = lows
-        max_high = (length - 1) >> self.low_bits if length else 0
-        high_unary.extend([0] * (max_high - prev_high))
-        self.high = DenseBitvector(high_unary)
-
-    @classmethod
-    def from_ef_parts(cls, n, low_bits, lows, high):
-        """Rebuild from the serialized split, recovering positions."""
-        bv = cls.__new__(cls)
-        bv.n = n
-        bv.low_bits = low_bits
-        bv.lows = list(lows)
-        bv.high = high
-        bv.ones = len(bv.lows)
-        pos = []
-        for k in range(bv.ones):
-            h = high.select1(k + 1) - (k + 1)
-            pos.append(((h << low_bits) | bv.lows[k]) + 1)
-        bv.positions = pos
-        return bv
+        self.ones = len(self.positions)
 
     def get(self, i):
         k = bisect_left(self.positions, i)
@@ -216,14 +134,9 @@ class SymbolSequence:
     per-symbol sorted position lists."""
 
     def __init__(self, seq):
-        self.seq = list(seq)
         self.occ = {}
-        for i, c in enumerate(self.seq, 1):
+        for i, c in enumerate(seq, 1):
             self.occ.setdefault(c, []).append(i)
-
-    def __getitem__(self, i):
-        """Symbol at 1-based position i."""
-        return self.seq[i - 1]
 
     def rank(self, c, i):
         """Occurrences of c in positions 1..i."""

@@ -96,6 +96,11 @@ def gen_corpus(base_size=100_000, copies=10, mutation=0.001, seed=0,
     with light mutations) replicated with per-symbol mutations."""
     import numpy as np
 
+    if base_size < 1 or copies < 1:
+        raise ValueError("base size and copies must be at least 1")
+    if not 0 <= mutation <= 1:
+        raise ValueError("mutation must lie in [0, 1]")
+
     rng = np.random.default_rng(seed)
     alpha = np.frombuffer(bytes(alphabet), dtype=np.uint8)
     motif_size = min(motif_size, base_size)
@@ -126,6 +131,8 @@ def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
     samples per s, and a run-head density histogram over text positions."""
     from .srindex import subsample
 
+    if bins < 1:
+        raise ValueError("bins must be at least 1")
     text = ingest(data, fasta=fasta)
     bundle = build_bundle(text)
     rl = build_rlbwt(bundle)
@@ -241,7 +248,16 @@ def verify(data, kinds=None, s_values=(4, 8), seed=0,
 
 
 def bench(built, patterns, reps=3):
-    """Time count and locate; returns a row dict per the CSV schema."""
+    """Time count and locate; returns a row dict per the CSV schema.
+
+    Times are the best of reps runs. steps_avg is the mean recursion depth
+    per recorded occurrence: the depth k at which a subsampled locate
+    resolved each occurrence after the toehold, averaged together with
+    the lengths of toehold recovery walks. It is not a count of LF or Psi
+    steps walked, and it is 0 for kinds that record nothing.
+    """
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     data = built.serialize()
     n = built.ix.n
     params = envelope.read_params(data)
@@ -265,7 +281,7 @@ def bench(built, patterns, reps=3):
                     else:
                         built.ix.locate(syms)
             best_locate = min(best_locate, time.perf_counter() - t0)
-    occ_per_rep = total_occ // reps if reps else 0
+    occ_per_rep = total_occ // reps
     us_per_occ = (1e6 * best_locate / occ_per_rep
                   if can_locate and occ_per_rep else 0.0)
     steps_avg = (counters.walk_steps / counters.walks

@@ -119,12 +119,18 @@ class TestErrors:
         ["verify", "CORPUS", "--kinds", "sr-idx"],
         ["query", "INDEX", "CORPUS", "--mode", "locate"],
         ["query", "CORPUS", "CORPUS"],
+        ["build", "MISSING", "-o", "OUT"],
+        ["query", "INDEX", "MISSING"],
+        ["stats", "CORPUS", "--bins", "0"],
+        ["gen-corpus", "-o", "OUT", "--base-size", "0"],
+        ["bench", "INDEX", "CORPUS", "--reps", "0"],
     ])
     def test_one_line_error_exit_2(self, argv, corpus, tmp_path, capsys):
         idx = tmp_path / "ix.bin"
         run(["build", str(corpus), "-o", str(idx), "--kind", "rlbwt"], capsys)
-        argv = [str(corpus) if a == "CORPUS" else str(idx) if a == "INDEX"
-                else a for a in argv]
+        paths = {"CORPUS": corpus, "INDEX": idx, "OUT": tmp_path / "out",
+                 "MISSING": tmp_path / "missing.txt"}
+        argv = [str(paths.get(a, a)) for a in argv]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -19,7 +19,8 @@ class TestCanonical:
         assert rl.r == 5
         assert rl.start.positions == [1, 2, 4, 5, 6]
         assert rl.letters == [2, 3, 2, 1, 2]   # a b a $ a
-        assert rl.run_lengths == [1, 2, 1, 1, 2]
+        assert [rl.run_end(p) - rl.run_start(p) + 1
+                for p in range(1, 6)] == [1, 2, 1, 1, 2]
         # C for $=1, a=2, b=3
         assert rl.C[1:5] == [0, 1, 5, 7]
 
@@ -76,6 +77,6 @@ class TestRandom:
             assert rl.is_run_end(e)
             if e < rl.n:
                 assert rl.run_of(e + 1) == p + 1
-                if rl.run_lengths[p] > 1:
+                if rl.run_end(p + 1) > rl.run_start(p + 1):
                     # a longer run's start is not its end
                     assert not rl.is_run_end(rl.start.positions[p])

@@ -1,7 +1,10 @@
 import random
+import struct
 
 import pytest
 
+from srindex.envelope import (FormatError, _ints_at, _sparse_bytes,
+                              _sparse_from, pack_ints)
 from srindex.succinct import (BlockedDeltaSeq, DenseBitvector,
                               SparseBitvector, SymbolSequence, delta_append,
                               delta_read)
@@ -29,19 +32,16 @@ def check_bitvector(bv, bits, positions=None):
         assert bv.get(i) == bits[i - 1]
         assert bv.rank1(i) == naive_rank1(bits, i)
         assert bv.rank0(i) == i - naive_rank1(bits, i)
-        pred = bv.predecessor1(i)
-        want = max((p for p in range(1, i + 1) if bits[p - 1]), default=None)
-        assert pred == want
-        succ = bv.successor1(i)
-        want = next((p for p in range(i, n + 1) if bits[p - 1]), None)
-        assert succ == want
+        if isinstance(bv, SparseBitvector):
+            pred = bv.predecessor1(i)
+            want = max((p for p in range(1, i + 1) if bits[p - 1]),
+                       default=None)
+            assert pred == want
+            succ = bv.successor1(i)
+            want = next((p for p in range(i, n + 1) if bits[p - 1]), None)
+            assert succ == want
     for j in range(1, ones + 1):
         assert bv.select1(j) == naive_select1(bits, j)
-    zeros = [p for p in range(1, n + 1) if not bits[p - 1]]
-    for j, p in enumerate(zeros, 1):
-        if positions is None or hasattr(bv, "select0"):
-            if hasattr(bv, "select0"):
-                assert bv.select0(j) == p
 
 
 def random_bits(rng, n, density):
@@ -67,22 +67,10 @@ class TestDenseBitvector:
             for j in rng.sample(range(1, sum(bits) + 1), min(40, sum(bits))):
                 assert bv.rank1(bv.select1(j)) == j
 
-    def test_from_positions_matches(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            n = rng.randrange(1, 300)
-            bits = random_bits(rng, n, 0.2)
-            pos = [i for i in range(1, n + 1) if bits[i - 1]]
-            a = DenseBitvector(bits)
-            b = DenseBitvector.from_positions(pos, n)
-            assert a.words == b.words and a.cum == b.cum
-
     def test_select_errors(self):
         bv = DenseBitvector([1, 0, 1])
         with pytest.raises(IndexError):
             bv.select1(3)
-        with pytest.raises(IndexError):
-            bv.select0(2)
 
 
 class TestSparseBitvector:
@@ -98,20 +86,43 @@ class TestSparseBitvector:
 
     def test_ef_split_roundtrip(self):
         rng = random.Random(5)
+        cases = [([], 1), ([1], 1), ([], 300), ([300], 300)]
         for _ in range(100):
             n = rng.randrange(1, 5000)
             ones = rng.randrange(1, max(2, n // 10 + 1))
-            pos = sorted(rng.sample(range(1, n + 1), min(ones, n)))
-            bv = SparseBitvector(pos, n)
-            rebuilt = SparseBitvector.from_ef_parts(
-                bv.n, bv.low_bits, bv.lows, bv.high)
-            assert rebuilt.positions == pos
+            cases.append((sorted(rng.sample(range(1, n + 1), min(ones, n))),
+                          n))
+        for pos, n in cases:
+            bv = _sparse_from(_sparse_bytes(SparseBitvector(pos, n)))
+            assert bv.positions == pos and bv.n == n
+            # in memory the bitvector is its positions and nothing else
+            assert set(vars(bv)) == {"n", "ones", "positions"}
 
     def test_space_shape(self):
-        # the low array width tracks log(n/x)
-        bv = SparseBitvector(list(range(10, 100_000, 1000)), 100_000)
-        assert bv.low_bits <= 11
-        assert len(bv.high) <= 2 * bv.ones + (1 << 11)
+        # the low array width tracks log(n/x); the unary high part holds
+        # one bit per one plus one per high bucket
+        blob = _sparse_bytes(
+            SparseBitvector(list(range(10, 100_000, 1000)), 100_000))
+        n, ones, low_bits = struct.unpack_from("<QQB", blob, 0)
+        assert ones == 100 and low_bits <= 11
+        _, off = _ints_at(blob, 17)
+        (high_n,) = struct.unpack_from("<Q", blob, off)
+        assert high_n <= 2 * ones + (1 << 11)
+
+    @pytest.mark.parametrize("n,ones,low_bits,lows,high_bits", [
+        (16, 2, 1, [1, 1], [2, 3]),      # one position twice
+        (8, 1, 0, [0], [9]),             # position beyond n
+        (8, 1, 0, [0], [0, 1]),          # more high ones than ones
+        (8, 2, 0, [0, 1], [0]),          # fewer high ones than ones
+    ])
+    def test_crafted_payload_rejected(self, n, ones, low_bits, lows,
+                                      high_bits):
+        high = sum(1 << i for i in high_bits)
+        blob = (struct.pack("<QQB", n, ones, low_bits) + pack_ints(lows)
+                + struct.pack("<Q", high.bit_length())
+                + high.to_bytes(8, "little"))
+        with pytest.raises(FormatError):
+            _sparse_from(blob)
 
 
 class TestSymbolSequence:
@@ -126,7 +137,6 @@ class TestSymbolSequence:
                 for k in range(1, seq.count(c) + 1):
                     p = ss.select(c, k)
                     assert seq[p - 1] == c and seq[:p].count(c) == k
-            assert ss[1] == seq[0]
 
 
 class TestDeltaCoding:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex import envelope, toolkit
+from srindex.succinct import DenseBitvector
 from srindex.textcore import ingest, oracle_search
 
 ALL_BUILDS = [
@@ -102,6 +103,39 @@ class TestEnvelope:
         with pytest.raises(envelope.FormatError):
             envelope.deserialize(b"XXXX" + blob[4:])
 
+    @pytest.mark.parametrize("kind,s,variant,mutate,match", [
+        ("r-csa", None, 0, lambda ix: ix.mark_map.__setitem__(0, 10**6),
+         "mark_map"),
+        ("r-csa", None, 0, lambda ix: ix.mark_map.pop(), "mark_map"),
+        ("r-index", None, 0,
+         lambda ix: ix.first_to_run.__setitem__(0, 10**6), "first_to_run"),
+        ("sr-index", 4, 0, lambda ix: ix.mark_map.__setitem__(0, 0),
+         "mark_map"),
+        ("sr-csa", 4, 0,
+         lambda ix: ix.mark_map.__setitem__(0, len(ix.samples_sub) + 1),
+         "mark_map"),
+        ("sr-index", 4, 1,
+         lambda ix: setattr(ix, "valid", DenseBitvector([1])), "validity"),
+        ("sr-csa", 4, 2, lambda ix: ix.valid_area.append(1), "validity"),
+        ("sr-index", 4, 1, lambda ix: ix.valid.words.clear(), "dense"),
+        ("sr-index", 4, 0, lambda ix: setattr(
+            ix, "removed", DenseBitvector.from_words(
+                [ix.removed.words[0] | 1 << ix.removed.n], ix.removed.n)),
+         "dense"),
+        ("sr-index", 4, 0, lambda ix: ix.marks.positions.__setitem__(
+            1, ix.marks.positions[0]), "not increasing"),
+    ], ids=["r-csa-map-range", "r-csa-map-short", "r-index-map-range",
+            "sr-index-map-zero", "sr-csa-map-range", "sr-index-valid-len",
+            "sr-csa-area-len", "dense-words", "dense-past-n",
+            "sparse-dup"])
+    def test_crafted_tables_rejected(self, kind, s, variant, mutate, match):
+        # CRC-valid envelopes whose tables would send locate out of range
+        bi = toolkit.build_index(b"abracadabra" * 5, kind, s=s,
+                                 variant=variant, block=4)
+        mutate(bi.ix)
+        with pytest.raises(envelope.FormatError, match=match):
+            toolkit.load_index(bi.serialize())
+
     def test_locating_counting_split(self):
         blob = toolkit.build_index(b"abracadabra" * 30, "sr-index",
                                    s=4).serialize()
@@ -171,6 +205,22 @@ class TestVerify:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="sr-idx"):
             toolkit.verify(b"abracadabra", kinds=["sr-idx"])
+
+
+class TestArguments:
+    @pytest.mark.parametrize("call", [
+        lambda: toolkit.gen_corpus(base_size=0),
+        lambda: toolkit.gen_corpus(copies=0),
+        lambda: toolkit.gen_corpus(mutation=-0.1),
+        lambda: toolkit.gen_corpus(mutation=1.5),
+        lambda: toolkit.text_stats(b"abracadabra", bins=0),
+        lambda: toolkit.bench(toolkit.build_index(b"abracadabra", "r-index"),
+                              [b"abra"], reps=0),
+    ], ids=["base_size", "copies", "mutation-low", "mutation-high", "bins",
+            "reps"])
+    def test_out_of_range_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestBench:
