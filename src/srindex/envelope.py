@@ -15,6 +15,7 @@ names for the kind and variant, and the invariants in CHECKS.
 
 import struct
 import zlib
+from bisect import bisect_right
 
 from .rcsa import PsiRuns, RCsa
 from .rindex import RIndex
@@ -118,15 +119,13 @@ def _sparse_from(blob):
 
 def _delta_bytes(seq):
     head = struct.pack("<QQQ", seq.m, seq.B, seq.nbits)
-    stream = seq.stream.to_bytes((seq.nbits + 7) // 8, "little")
-    return head + pack_ints(seq.samples) + stream
+    return head + pack_ints(seq.samples) + seq.stream
 
 
 def _delta_from(blob):
     m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
     samples, off = _ints_at(blob, 24)
-    stream = int.from_bytes(blob[off:], "little")
-    return BlockedDeltaSeq.from_parts(m, B, samples, stream, nbits)
+    return BlockedDeltaSeq.from_parts(m, B, samples, bytes(blob[off:]), nbits)
 
 
 def _deltas_bytes(seqs):
@@ -222,6 +221,27 @@ def _maps_marks(table, marks, samples):
             f"{table} does not map {marks} into {samples}")
 
 
+def _runs_per_symbol(v, h):
+    """Check: per symbol, the head and tail streams hold one value per Psi
+    run that starts in the symbol's block of C, and there are r runs."""
+    C, starts = v["c_table"], v["i_psi"]
+    want = {c: bisect_right(starts, C[c + 1]) - bisect_right(starts, C[c])
+            for c in range(1, h["sigma"] + 1)}
+    return len(starts) == h["r"] == sum(want.values()) and all(
+        {c: len(seq) for c, seq in v[name].items()} == want
+        for name in ("psi_heads", "psi_tails"))
+
+
+def _sa_values(table, shift, *kind):
+    """Check row: table holds SA values minus shift, each within the text;
+    kind names a section that tells which index the table belongs to."""
+    def ok(v, h):
+        vals = v[table]
+        return not vals or (min(vals) >= 1 - shift
+                            and max(vals) <= h["n"] - shift)
+    return (table, *kind), ok, f"{table} holds positions outside the text"
+
+
 # Structural invariants the loader checks before building anything, each
 # when all the sections it reads are present: (sections, test over the
 # decoded sections v and the header h, message).
@@ -235,8 +255,7 @@ CHECKS = [
     (("c_table",), lambda v, h: len(v["c_table"]) == h["sigma"] + 2
      and v["c_table"][-1] == h["n"],
      "C table does not match header"),
-    (("i_psi", "psi_heads"), lambda v, h: len(v["i_psi"]) == h["r"]
-     == sum(map(len, v["psi_heads"].values())),
+    (("c_table", "i_psi", "psi_heads", "psi_tails"), _runs_per_symbol,
      "psi run streams do not match run count"),
     (("samples", "first_to_run"), lambda v, h:
      len(v["samples"]) == len(v["first_to_run"]) == h["r"],
@@ -246,6 +265,12 @@ CHECKS = [
     (("removed", "samples_sub"), lambda v, h: v["removed"].n == h["r"]
      and len(v["samples_sub"]) == h["r"] - v["removed"].ones,
      "subsample tables do not match run count"),
+    _sa_values("samples", 1),
+    _sa_values("f_sa", 0),
+    _sa_values("samples_sub", 1, "marks"),
+    _sa_values("samples_sub", 0, "marks_l"),
+    (("sa_last",), lambda v, h: 1 <= v["sa_last"] <= h["n"],
+     "sa_last holds a position outside the text"),
     _maps_marks("first_to_run", "first", "samples"),
     _maps_marks("mark_map", "marks", "samples_sub"),
     _maps_marks("mark_map", "marks_l", "samples_sub"),

@@ -1,9 +1,9 @@
-"""Succinct building blocks: bitvectors with rank/select, a sparse
-bitvector (Elias-Fano coded on disk), per-symbol rank/select over short
-sequences, and blocked delta-coded increasing integer sequences.
+"""Succinct building blocks: bitvectors with rank, a sparse bitvector
+(Elias-Fano coded on disk), per-symbol rank/select over short sequences,
+and blocked delta-coded increasing integer sequences.
 
 Positions are 1-based throughout: rank1(i) counts ones among positions
-1..i, select1(j) returns the position of the j-th one.
+1..i.
 """
 
 from bisect import bisect_left, bisect_right
@@ -69,29 +69,13 @@ class DenseBitvector:
         i = min(i, self.n)
         return i - self.rank1(i)
 
-    def select1(self, j):
-        """1-based position of the j-th one, 1 <= j <= ones."""
-        if not 1 <= j <= self.ones:
-            raise IndexError("select1 out of range")
-        q = bisect_left(self.cum, j) - 1
-        w = self.words[q]
-        k = j - self.cum[q]
-        pos = q * WORD
-        while True:
-            if w & 1:
-                k -= 1
-                if k == 0:
-                    return pos + 1
-            w >>= 1
-            pos += 1
-
     def __len__(self):
         return self.n
 
 
 class SparseBitvector:
     """Bitvector for few ones over a large universe, held as the sorted
-    positions of its ones; rank and select bisect them. On disk it is
+    positions of its ones; rank bisects them. On disk it is
     Elias-Fano coded (the SPARSE codec in envelope.py)."""
 
     def __init__(self, positions, length):
@@ -106,20 +90,6 @@ class SparseBitvector:
 
     def rank1(self, i):
         return bisect_right(self.positions, i)
-
-    def rank0(self, i):
-        if i <= 0:
-            return 0
-        return min(i, self.n) - self.rank1(i)
-
-    def select1(self, j):
-        if not 1 <= j <= self.ones:
-            raise IndexError("select1 out of range")
-        return self.positions[j - 1]
-
-    def predecessor1(self, i):
-        k = self.rank1(i)
-        return self.positions[k - 1] if k else None
 
     def successor1(self, i):
         k = self.rank1(i - 1)
@@ -172,30 +142,59 @@ def delta_append(stream, nbits, value):
     return stream, nbits
 
 
-def delta_read(stream, pos):
-    """Decode one Elias-delta code at bit offset pos. Returns (value, pos)."""
-    z = 0
-    while not (stream >> pos) & 1:
-        z += 1
-        pos += 1
-    pos += 1
-    length = 1 << z
-    if z:
-        length |= (stream >> pos) & ((1 << z) - 1)
-        pos += z
-    value = 1 << (length - 1)
-    if length > 1:
-        value |= (stream >> pos) & ((1 << (length - 1)) - 1)
-        pos += length - 1
-    return value, pos
+DELTA_WINDOW = 8  # bytes delta_read reads first; only longer codes read more
+_from_bytes = int.from_bytes  # one attribute lookup less per decoded code
+
+
+def delta_read(buf, pos):
+    """Decode one Elias-delta code at bit offset pos of buf, the bytes of
+    an LSB-first stream. Returns (value, pos after the code).
+
+    Reads DELTA_WINDOW bytes, and after them only the bytes of a code too
+    long for that window, so the cost depends neither on pos nor on the
+    length of buf. Raises ValueError for a code that runs past the end.
+    """
+    q = pos >> 3
+    x = _from_bytes(buf[q:q + DELTA_WINDOW], "little") >> (pos & 7)
+    low = x & -x                          # the code's first one
+    z = low.bit_length()                  # zeros before it, plus one
+    length = low | (x >> z) & (low - 1)
+    end = pos + 2 * z - 2 + length
+    if end > 8 * (q + DELTA_WINDOW) or end > 8 * len(buf) or not x:
+        return _delta_read_long(buf, pos, x, z)
+    top = 1 << (length - 1)
+    return top | (x >> (2 * z - 1)) & (top - 1), end
+
+
+def _delta_read_long(buf, pos, x, z):
+    """delta_read for a code that does not fit its window or runs past the
+    end of buf; x and z are what delta_read took from the window."""
+    if not x:
+        # no one in the window: past the end, or a value of 2**57+ bits
+        raise ValueError(f"no delta code at bit {pos}")
+    if 2 * z - 1 > 8 * DELTA_WINDOW - (pos & 7):
+        x = _bits(buf, pos, 2 * z - 1)
+    length = 1 << (z - 1) | (x >> z) & ((1 << (z - 1)) - 1)
+    n = 2 * z - 2 + length
+    top = 1 << (length - 1)
+    return top | (_bits(buf, pos, n) >> (2 * z - 1)) & (top - 1), pos + n
+
+
+def _bits(buf, pos, count):
+    """Bits pos .. pos + count - 1 of buf as the low bits of an int."""
+    if pos + count > 8 * len(buf):
+        raise ValueError(f"delta code at bit {pos} runs past the end")
+    return int.from_bytes(buf[pos >> 3:(pos + count + 7) >> 3],
+                          "little") >> (pos & 7)
 
 
 class BlockedDeltaSeq:
     """Strictly increasing non-negative integers, gap-coded with Elias-delta.
 
     Every block_size-th value is kept verbatim as a block anchor; the rest
-    are coded as gaps to their left neighbor. Access decodes at most
-    block_size - 1 codes after a binary search on the anchors.
+    are coded as gaps to their left neighbor, in one stream held as the
+    bytes the envelope stores. Access decodes at most block_size - 1 codes
+    after a binary search on the anchors, each from the few bytes it spans.
     """
 
     def __init__(self, values, block_size=64):
@@ -212,12 +211,21 @@ class BlockedDeltaSeq:
             else:
                 stream, nbits = delta_append(stream, nbits, v - prev)
             prev = v
-        self.stream = stream
+        self.stream = stream.to_bytes((nbits + 7) // 8, "little")
         self.nbits = nbits
 
     @classmethod
     def from_parts(cls, m, block_size, samples, stream, nbits):
-        """Rebuild from serialized parts; block offsets recovered by a scan."""
+        """Rebuild from serialized parts (stream: bytes); block offsets are
+        recovered by a scan. Raises ValueError on parts that do not fit."""
+        if block_size < 1:
+            raise ValueError("delta block size below 1")
+        if len(samples) != -(-m // block_size):
+            raise ValueError("delta anchors do not match length and block")
+        if any(a >= b for a, b in zip(samples, samples[1:])):
+            raise ValueError("delta anchors not increasing")
+        if len(stream) != (nbits + 7) // 8:
+            raise ValueError("delta stream length does not match its bits")
         seq = cls.__new__(cls)
         seq.m = m
         seq.B = block_size
@@ -231,6 +239,8 @@ class BlockedDeltaSeq:
             in_block = min(seq.B, m - k * seq.B) - 1
             for _ in range(in_block):
                 _, pos = delta_read(stream, pos)
+        if pos != nbits:
+            raise ValueError("delta codes do not end at the stream's end")
         return seq
 
     def __len__(self):

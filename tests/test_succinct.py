@@ -1,11 +1,14 @@
 import random
 import struct
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
 from srindex.envelope import (FormatError, _ints_at, _sparse_bytes,
                               _sparse_from, pack_ints)
-from srindex.succinct import (BlockedDeltaSeq, DenseBitvector,
+from srindex import succinct
+from srindex.succinct import (DELTA_WINDOW, BlockedDeltaSeq, DenseBitvector,
                               SparseBitvector, SymbolSequence, delta_append,
                               delta_read)
 
@@ -14,34 +17,19 @@ def naive_rank1(bits, i):
     return sum(bits[:i])
 
 
-def naive_select1(bits, j):
-    seen = 0
-    for p, b in enumerate(bits, 1):
-        seen += b
-        if b and seen == j:
-            return p
-    raise IndexError
-
-
 def check_bitvector(bv, bits, positions=None):
     n = len(bits)
-    ones = sum(bits)
     assert len(bv) == n
     idx = positions if positions is not None else range(1, n + 1)
     for i in idx:
         assert bv.get(i) == bits[i - 1]
         assert bv.rank1(i) == naive_rank1(bits, i)
-        assert bv.rank0(i) == i - naive_rank1(bits, i)
-        if isinstance(bv, SparseBitvector):
-            pred = bv.predecessor1(i)
-            want = max((p for p in range(1, i + 1) if bits[p - 1]),
-                       default=None)
-            assert pred == want
+        if isinstance(bv, DenseBitvector):
+            assert bv.rank0(i) == i - naive_rank1(bits, i)
+        else:
             succ = bv.successor1(i)
             want = next((p for p in range(i, n + 1) if bits[p - 1]), None)
             assert succ == want
-    for j in range(1, ones + 1):
-        assert bv.select1(j) == naive_select1(bits, j)
 
 
 def random_bits(rng, n, density):
@@ -64,13 +52,6 @@ class TestDenseBitvector:
             bv = DenseBitvector(bits)
             sampled = sorted(rng.sample(range(1, n + 1), 80))
             check_bitvector(bv, bits, positions=sampled)
-            for j in rng.sample(range(1, sum(bits) + 1), min(40, sum(bits))):
-                assert bv.rank1(bv.select1(j)) == j
-
-    def test_select_errors(self):
-        bv = DenseBitvector([1, 0, 1])
-        with pytest.raises(IndexError):
-            bv.select1(3)
 
 
 class TestSparseBitvector:
@@ -139,6 +120,48 @@ class TestSymbolSequence:
                     assert seq[p - 1] == c and seq[:p].count(c) == k
 
 
+def delta_bytes(vals, start=0):
+    """The delta codes of vals written from bit offset start, as stream
+    bytes; returns (bytes, [(offset, value, code bits)], end offset)."""
+    s, nb = 0, start
+    codes = []
+    for v in vals:
+        s, end = delta_append(s, nb, v)
+        codes.append((nb, v, end - nb))
+        nb = end
+    return s.to_bytes((nb + 7) // 8, "little"), codes, nb
+
+
+WIDE = (2**57, 2**63 - 1, 2**64, 2**80 + 1, 2**200, 3**300)
+
+
+@pytest.fixture(scope="module")
+def long_seq():
+    """100,001 increasing values whose gaps run from 1 to 3**300."""
+    rng = random.Random(10)
+    gaps = [rng.choice((1, 2, 3)) if rng.random() < 0.3 else
+            rng.randrange(1, 1 << rng.randrange(1, 40))
+            for _ in range(99_990)] + list(WIDE) + [1, 2, 3, 4]
+    rng.shuffle(gaps)
+    return list(accumulate(gaps, initial=0))
+
+
+class BytesLog:
+    """Stream bytes that record how many bytes each slice took."""
+
+    def __init__(self, data):
+        self.data = data
+        self.taken = []
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, key):
+        out = self.data[key]
+        self.taken.append(len(out))
+        return out
+
+
 class TestDeltaCoding:
     def test_known_codewords(self):
         # delta(1) = "1" (1 bit), delta(2) = "0100" read LSB-first
@@ -148,7 +171,7 @@ class TestDeltaCoding:
         assert nb == 4 and s == 0b0010
         for v in (1, 2, 3, 17, 1000, 12345678):
             s, nb = delta_append(0, 0, v)
-            got, pos = delta_read(s, 0)
+            got, pos = delta_read(s.to_bytes((nb + 7) // 8, "little"), 0)
             assert got == v and pos == nb
 
     def test_stream_roundtrip(self):
@@ -157,11 +180,85 @@ class TestDeltaCoding:
         s, nb = 0, 0
         for v in vals:
             s, nb = delta_append(s, nb, v)
+        buf = s.to_bytes((nb + 7) // 8, "little")
         pos = 0
         for v in vals:
-            got, pos = delta_read(s, pos)
+            got, pos = delta_read(buf, pos)
             assert got == v
         assert pos == nb
+
+    @pytest.mark.parametrize("value", WIDE)
+    def test_wide_values_roundtrip(self, value):
+        # codes longer than the read window, at every bit offset in a byte
+        # and between short codes
+        for start in range(8):
+            buf, codes, end = delta_bytes([5, value, 1, value, 2], start)
+            assert codes[1][2] > 8 * DELTA_WINDOW
+            pos = start
+            for off, v, _ in codes:
+                assert pos == off
+                got, pos = delta_read(buf, pos)
+                assert got == v
+            assert pos == end
+
+    def test_codes_straddle_bytes(self):
+        values = [1, 2, 3, 7, 8, 17, 255, 256, 1000, 2**20 + 1, 2**40 - 1]
+        for start in range(17):
+            for v in values:
+                buf, [(_, _, bits)], end = delta_bytes([v], start)
+                assert delta_read(buf, start) == (v, end)
+                # the same code followed by others, and right at the end
+                buf, _, end = delta_bytes([v, 1, v], start)
+                got, pos = delta_read(buf, start)
+                got2, pos = delta_read(buf, pos)
+                assert (got, got2, delta_read(buf, pos)) == (v, 1, (v, end))
+            assert any((start + bits - 1) // 8 > start // 8
+                       for v in values
+                       for _, _, bits in delta_bytes([v], start)[1])
+
+    def test_read_past_end_raises(self):
+        for buf, pos in [(b"", 0), (b"\x01", 8), (b"\x00" * 20, 0),
+                         (b"\x00" * 20, 37)]:
+            with pytest.raises(ValueError):
+                delta_read(buf, pos)
+        for v in (2, 17, 1000, 2**40, 2**64, 2**200):
+            for start in (0, 3, 7):
+                buf, _, end = delta_bytes([v], start)
+                with pytest.raises(ValueError):
+                    delta_read(buf[:-1], start)
+                # whole, the code decodes, also with a byte after it
+                assert delta_read(buf + b"\x00", start) == (v, end)
+
+    def test_reads_only_the_bytes_of_its_code(self, long_seq):
+        # bytes read per code are bounded by its own length, wherever it
+        # lies in a 100,000-code stream
+        gaps = [b - a for a, b in zip(long_seq, long_seq[1:])]
+        buf, codes, end = delta_bytes(gaps)
+        log = BytesLog(buf)
+        pos = 0
+        for off, v, bits in codes:
+            log.taken.clear()
+            got, pos = delta_read(log, pos)
+            assert (got, off + bits) == (v, pos)
+            assert sum(log.taken) <= -(-(7 + bits) // 8) + DELTA_WINDOW
+        assert pos == end and max(bits for *_, bits in codes) > 200
+
+    def test_roundtrip_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(st.integers(1, 2**300), max_size=40),
+                          st.integers(0, 70))
+        def roundtrip(vals, start):
+            buf, codes, end = delta_bytes(vals, start)
+            pos = start
+            for _, v, _ in codes:
+                got, pos = delta_read(buf, pos)
+                assert got == v
+            assert pos == end
+
+        roundtrip()
 
 
 class TestBlockedDeltaSeq:
@@ -192,6 +289,59 @@ class TestBlockedDeltaSeq:
                 seq.m, seq.B, seq.samples, seq.stream, seq.nbits)
             assert rebuilt.to_list() == vals
             assert rebuilt.offsets == seq.offsets
+            # held as the bytes the envelope stores
+            assert seq.stream == rebuilt.stream
+            assert isinstance(seq.stream, bytes)
+            assert len(seq.stream) == (seq.nbits + 7) // 8
+
+    def test_from_parts_rejects_misfits(self):
+        seq = BlockedDeltaSeq(list(range(0, 300, 3)), 8)
+        parts = (seq.m, seq.B, seq.samples, seq.stream, seq.nbits)
+        m, B, samples, stream, nbits = parts
+        for bad in [
+            (m, 0, samples, stream, nbits),                # block below 1
+            (m + 8, B, samples, stream, nbits),            # too few anchors
+            (m, B, samples[:-1], stream, nbits),
+            (m, B, samples[::-1], stream, nbits),          # not increasing
+            (m, B, [0] * len(samples), stream, nbits),
+            (m, B, samples, stream + b"\x00", nbits),     # length mismatch
+            (m, B, samples, stream[:-1], nbits),
+            (m, B, samples, stream[:-1], nbits - 8),       # codes past nbits
+            (m, B, samples, stream, nbits - 1),
+            (m, B, samples, bytes(len(stream)), nbits),    # no codes at all
+            (m + 1, B, samples, stream, nbits),            # codes run out
+        ]:
+            with pytest.raises(ValueError):
+                BlockedDeltaSeq.from_parts(*bad)
+        assert BlockedDeltaSeq.from_parts(*parts).to_list() == seq.to_list()
+
+    @pytest.mark.parametrize("m", [1_000, 100_000])
+    def test_codes_per_access_at_most_block(self, m, long_seq, monkeypatch):
+        # access and pred decode at most B - 1 codes, whatever m is
+        vals = long_seq[:m]
+        seq = BlockedDeltaSeq(vals, 64)
+        calls = []
+        read = succinct.delta_read
+
+        def counted(buf, pos):
+            calls.append(pos)
+            return read(buf, pos)
+
+        monkeypatch.setattr(succinct, "delta_read", counted)
+        rng = random.Random(m)
+        most = 0
+        for i in rng.sample(range(1, m + 1), 300) + [1, 64, 65, 128, m]:
+            calls.clear()
+            assert seq.access(i) == vals[i - 1]
+            assert len(calls) <= seq.B - 1
+            most = max(most, len(calls))
+        for x in [-1, 0, vals[-1], vals[-1] + 1] + [
+                rng.randrange(vals[-1]) for _ in range(300)]:
+            calls.clear()
+            k = bisect_right(vals, x)
+            assert seq.pred(x) == ((vals[k - 1], k) if k else None)
+            assert len(calls) <= seq.B - 1
+        assert most == seq.B - 1
 
     def test_zero_first_value(self):
         seq = BlockedDeltaSeq([0, 1, 5], 8)

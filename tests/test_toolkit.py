@@ -1,4 +1,8 @@
 import random
+import signal
+import struct
+import zlib
+from contextlib import contextmanager
 
 import pytest
 
@@ -69,6 +73,57 @@ class TestQueries:
         assert sorted(bi.locate(pat)) == want
 
 
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once seconds have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def reseal(blob, name, payload):
+    """blob with the payload of section name replaced, and its section
+    table and checksum rewritten to match."""
+    sections = envelope._open(blob)[2]
+    sections[name] = payload
+    table = body = b""
+    for nm in sorted(sections):
+        table += struct.pack("<16sQQ", nm.encode(), len(body),
+                             len(sections[nm]))
+        body += sections[nm]
+    data = blob[:56] + table + body
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
+def delta_fields(payload):
+    """A psi_heads/psi_tails payload -> one [m, B, nbits, anchors, stream]
+    list per symbol, in symbol order."""
+    (count,) = struct.unpack_from("<I", payload, 0)
+    off, out = 4, []
+    for _ in range(count):
+        (ln,) = struct.unpack_from("<Q", payload, off)
+        blob = payload[off + 8:off + 8 + ln]
+        samples, at = envelope._ints_at(blob, 24)
+        out.append([*struct.unpack_from("<QQQ", blob, 0), samples, blob[at:]])
+        off += 8 + ln
+    return out
+
+
+def delta_payload(fields):
+    out = struct.pack("<I", len(fields))
+    for m, B, nbits, samples, stream in fields:
+        blob = (struct.pack("<QQQ", m, B, nbits) + envelope.pack_ints(samples)
+                + stream)
+        out += struct.pack("<Q", len(blob)) + blob
+    return out
+
+
 class TestEnvelope:
     def test_roundtrip_byte_stable(self):
         rng = random.Random(61)
@@ -124,10 +179,32 @@ class TestEnvelope:
          "dense"),
         ("sr-index", 4, 0, lambda ix: ix.marks.positions.__setitem__(
             1, ix.marks.positions[0]), "not increasing"),
+        # SA samples pointing outside the text
+        ("r-index", None, 0, lambda ix: ix.samples.__setitem__(
+            slice(None), [x + 10**6 for x in ix.samples]), "outside"),
+        ("r-index", None, 0, lambda ix: ix.samples.__setitem__(0, ix.n),
+         "outside"),
+        ("sr-index", 4, 0, lambda ix: ix.samples_sub.__setitem__(
+            slice(None), [x + 10**6 for x in ix.samples_sub]), "outside"),
+        ("sr-index", 4, 2, lambda ix: ix.samples_sub.__setitem__(-1, ix.n),
+         "outside"),
+        ("sr-index", 4, 0, lambda ix: setattr(ix, "sa_last", ix.n + 1),
+         "outside"),
+        ("sr-index", 4, 1, lambda ix: setattr(ix, "sa_last", 0), "outside"),
+        ("r-csa", None, 0, lambda ix: ix.f_sa.__setitem__(0, ix.n + 1),
+         "outside"),
+        ("r-csa", None, 0, lambda ix: ix.f_sa.__setitem__(-1, 0), "outside"),
+        ("sr-csa", 4, 0, lambda ix: ix.samples_sub.__setitem__(0, 0),
+         "outside"),
+        ("sr-csa", 4, 2, lambda ix: ix.samples_sub.__setitem__(
+            -1, ix.n + 10**6), "outside"),
     ], ids=["r-csa-map-range", "r-csa-map-short", "r-index-map-range",
             "sr-index-map-zero", "sr-csa-map-range", "sr-index-valid-len",
             "sr-csa-area-len", "dense-words", "dense-past-n",
-            "sparse-dup"])
+            "sparse-dup", "r-index-sa-shifted", "r-index-sa-n",
+            "sr-index-sa-shifted", "sr-index-sa-n", "sr-index-last-high",
+            "sr-index-last-zero", "r-csa-sa-high", "r-csa-sa-zero",
+            "sr-csa-sa-zero", "sr-csa-sa-high"])
     def test_crafted_tables_rejected(self, kind, s, variant, mutate, match):
         # CRC-valid envelopes whose tables would send locate out of range
         bi = toolkit.build_index(b"abracadabra" * 5, kind, s=s,
@@ -135,6 +212,37 @@ class TestEnvelope:
         mutate(bi.ix)
         with pytest.raises(envelope.FormatError, match=match):
             toolkit.load_index(bi.serialize())
+
+    @pytest.mark.parametrize("kind,section,c,change", [
+        ("r-csa", "psi_heads", 2, {4: b"\x00\x00"}),     # codes zeroed
+        ("r-csa", "psi_heads", 2, {2: 8, 4: b"\xe4"}),   # stream cut short
+        ("r-csa", "psi_heads", 2, {0: 4}),               # more codes than bits
+        ("r-csa", "psi_heads", 2, {2: 15}),              # codes end past nbits
+        ("r-csa", "psi_heads", 2, {1: 0}),               # block size 0
+        ("r-csa", "psi_heads", 2, {3: []}),              # too few anchors
+        ("r-csa", "psi_heads", 2, {3: [1, 9]}),          # too many anchors
+        ("r-csa", "psi_heads", 6, {1: 1, 2: 0, 3: [5, 2], 4: b""}),
+        ("r-csa", "psi_heads", 2, {4: b"d\xe4\x00"}),    # stream too long
+        ("sr-csa", "psi_tails", 2, {4: b"\x00\x00\x00"}),
+        ("r-csa", "psi_tails", 2, {0: 2, 2: 5, 4: b"\x06"}),  # a tail short
+    ], ids=["zeroed", "cut-short", "codes-run-out", "past-nbits", "block-0",
+            "few-anchors", "many-anchors", "anchors-decrease", "long-stream",
+            "sr-csa-tails-zeroed", "tails-fewer-than-heads"])
+    def test_crafted_delta_stream_rejected(self, kind, section, c, change):
+        # CRC-valid envelopes whose delta stream does not fit its m and B;
+        # a stream with too few codes used to make the loader spin forever
+        blob = toolkit.build_index(b"abracadabra" * 5, kind,
+                                   s=4 if kind == "sr-csa" else None,
+                                   block=4).serialize()
+        payload = envelope._open(blob)[2][section]
+        fields = delta_fields(payload)
+        assert delta_payload(fields) == payload
+        assert reseal(blob, section, payload) == blob
+        for i, value in change.items():
+            fields[c - 1][i] = value
+        bad = reseal(blob, section, delta_payload(fields))
+        with time_limit(10), pytest.raises(envelope.FormatError):
+            toolkit.load_index(bad)
 
     def test_locating_counting_split(self):
         blob = toolkit.build_index(b"abracadabra" * 30, "sr-index",
