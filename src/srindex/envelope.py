@@ -205,6 +205,9 @@ FORMAT = {
     ] + SUBSAMPLED)],
 }
 KINDS = list(FORMAT)
+# the exact class -> its kind; RIndex is an SrIndex and RCsa an SrCsa, so
+# an isinstance test would not tell them apart
+KIND_OF = {layers[-1][0]: kind for kind, layers in FORMAT.items()}
 
 # sections holding locating (as opposed to counting) structures
 LOCATING_SECTIONS = {
@@ -257,6 +260,16 @@ CHECKS = [
      "C table does not match header"),
     (("c_table", "i_psi", "psi_heads", "psi_tails"), _runs_per_symbol,
      "psi run streams do not match run count"),
+    (("i_psi",), lambda v, h: v["i_psi"][:1] == [1]
+     and all(a < b for a, b in zip(v["i_psi"], v["i_psi"][1:]))
+     and v["i_psi"][-1] <= h["n"],
+     "i_psi is not increasing from 1 within the text"),
+    # each delta stream is strictly increasing (from_parts checks it), so
+    # its first and last values bound all of it
+    (("psi_heads", "psi_tails"), lambda v, h: all(
+        not seq.m or seq.samples[0] >= 1 and seq.access(seq.m) <= h["n"]
+        for name in ("psi_heads", "psi_tails") for seq in v[name].values()),
+     "psi run values outside the text"),
     (("samples", "first_to_run"), lambda v, h:
      len(v["samples"]) == len(v["first_to_run"]) == h["r"],
      "sample tables do not match run count"),
@@ -286,10 +299,9 @@ CHECKS = [
 
 
 def _kind_of(ix):
-    for kind, layers in FORMAT.items():
-        if isinstance(ix, layers[-1][0]):
-            return kind
-    raise TypeError(f"not an index: {type(ix)!r}")
+    if type(ix) not in KIND_OF:
+        raise TypeError(f"not an index: {type(ix)!r}")
+    return KIND_OF[type(ix)]
 
 
 def _rows(kind, variant):

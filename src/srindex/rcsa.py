@@ -8,15 +8,18 @@ run heads, and the C table complete the counting side.
 
 Locating mirrors the BWT side: the SA value at each run tail is a mark
 (text position), paired with the head sample of the next run (cyclically),
-and iphi maps SA[i] to SA[i+1] via the successor mark.
+and iphi maps SA[i] to SA[i+1] via the successor mark. The r-CSA is the
+sr-CSA at s = 1, where the sweep drops nothing, so RCsa is an SrCsa with
+no sample removed and locates through srindex.Subsampled; f_sa, format
+v1's name for the head samples, is its sample table.
 """
 
 from bisect import bisect_left, bisect_right
 
 from .rlbwt import BackwardSearch
-from .succinct import BlockedDeltaSeq, SparseBitvector
-
-DEFAULT_BLOCK = 64
+from .srcsa import SrCsa
+from .succinct import (DEFAULT_BLOCK, BlockedDeltaSeq, DenseBitvector,
+                       SparseBitvector)
 
 
 class PsiRuns(BackwardSearch):
@@ -101,54 +104,16 @@ class PsiRuns(BackwardSearch):
         return self.first_run[c] + (p[1] if p else 0)
 
 
-class RCsa:
+class RCsa(SrCsa):
     def __init__(self, runs, f_sa, marks_l, mark_map):
-        self.runs = runs
-        self.n = runs.n
-        self.f_sa = f_sa              # run q -> SA at its first position
-        self.marks_l = marks_l        # SparseBitvector over text positions
-        self.mark_map = mark_map      # k-th mark -> slot in f_sa
-        self.sa_first = f_sa[0]       # SA[1] = n
+        super().__init__(runs, 1, 0, DenseBitvector([0] * runs.r), f_sa,
+                         marks_l, mark_map)
 
-    def psi(self, i):
-        return self.runs.psi(i)
+    f_sa = property(lambda self: self.samples_sub)
 
-    def count(self, syms):
-        return self.runs.count(syms)
-
-    def iphi(self, i):
-        """SA value following the one at text position i; i in [1..n]."""
-        k = self.marks_l.rank1(i - 1) + 1
-        if k <= self.marks_l.ones:
-            succ = self.marks_l.positions[k - 1]
-        else:
-            # cyclic wrap; unreachable in the full index (n is a mark)
-            k = 1
-            succ = self.marks_l.positions[0] + self.n
-        slot = self.mark_map[k - 1]
-        return self.f_sa[slot - 1] - (succ - i)
-
-    def count_toehold(self, syms):
-        """Backward search keeping SA[sp]; returns (sp, ep, SA[sp]) or None."""
-        th = self.runs.toehold_search(syms)
-        if th is None:
-            return None
-        sp, ep, g, after = th
-        return sp, ep, (self.f_sa[g - 1] if g else self.sa_first) - after
-
-    def locate(self, syms, sort=False):
-        th = self.count_toehold(syms)
-        if th is None:
-            return []
-        sp, ep, first = th
-        out = [first]
-        v = first
-        for _ in range(ep - sp):
-            v = self.iphi(v)
-            out.append(v)
-        if sort:
-            out.sort()
-        return out
+    # own names: the benchmark's tracer wraps methods in the class __dict__
+    iphi = SrCsa.iphi
+    count_toehold = SrCsa.count_toehold
 
 
 def build_psi_runs(bundle, block=DEFAULT_BLOCK):

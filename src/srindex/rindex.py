@@ -1,60 +1,40 @@
-"""Run-sampled locating on top of the run-length BWT.
+"""Run-sampled locating on top of the run-length BWT: the r-index.
 
 Text positions SA[j]-1 at run starts are marked in a sparse bitvector
 (domain [0..n-1], stored shifted to [1..n]); each run keeps the SA value
 at its last position, minus one. phi maps SA[j]-1 to SA[j-1]; locate walks
 phi from the toehold SA[ep] maintained during backward search.
+
+This is the sr-index at s = 1, where the sweep drops nothing, so RIndex is
+an SrIndex with no sample removed and locates through srindex.Subsampled.
+It keeps format v1's names for its tables: first (the marks), samples,
+and first_to_run (each mark's run), which is derived from mark_map.
 """
 
-from .succinct import SparseBitvector
+from .srindex import SrIndex
+from .succinct import DenseBitvector, SparseBitvector
 
 
-class RIndex:
+class RIndex(SrIndex):
     def __init__(self, rl, first, first_to_run, samples):
-        self.rl = rl
-        self.n = rl.n
-        self.first = first                  # marks, stored at value+1
-        self.first_to_run = first_to_run    # k-th mark -> its run
-        self.samples = samples              # run p -> SA[last of p] - 1
-        self.sa_last = samples[rl.r - 1] + 1  # SA[n]
+        r = rl.r
+        # run p's first-position mark pairs with the sample of run p-1
+        # (cyclic), the slot SrIndex's mark_map holds
+        super().__init__(rl, 1, 0, samples[r - 1] + 1,
+                         DenseBitvector([0] * r), samples, first,
+                         [p - 1 if p >= 2 else r for p in first_to_run])
 
-    def phi(self, i):
-        """SA value preceding the one at text position i+1; i in [0..n-1]."""
-        k = self.first.rank1(i + 1)
-        if k:
-            pred = self.first.positions[k - 1] - 1
-        else:
-            # cyclic wrap; unreachable for i = SA[j]-1 with j >= 2
-            k = self.first.ones
-            pred = self.first.positions[k - 1] - 1 - self.n
-        p = self.first_to_run[k - 1]
-        prev = p - 1 if p >= 2 else self.rl.r
-        return self.samples[prev - 1] + 1 + (i - pred)
+    first = property(lambda self: self.marks)
+    samples = property(lambda self: self.samples_sub)
 
-    def count_toehold(self, syms):
-        """Backward search keeping SA[ep]; returns (sp, ep, SA[ep]) or None."""
-        th = self.rl.toehold_search(syms)
-        if th is None:
-            return None
-        sp, ep, p, after = th
-        return sp, ep, (self.samples[p - 1] if p else self.sa_last) - after
+    @property
+    def first_to_run(self):
+        r = self.rl.r
+        return [k + 1 if k < r else 1 for k in self.mark_map]
 
-    def count(self, syms):
-        return self.rl.count(syms)
-
-    def locate(self, syms, sort=False):
-        th = self.count_toehold(syms)
-        if th is None:
-            return []
-        sp, ep, last = th
-        out = [last]
-        v = last
-        for _ in range(ep - sp):
-            v = self.phi(v - 1)
-            out.append(v)
-        if sort:
-            out.sort()
-        return out
+    # own names: the benchmark's tracer wraps methods in the class __dict__
+    phi = SrIndex.phi
+    count_toehold = SrIndex.count_toehold
 
 
 def build_rindex(bundle, rl=None):

@@ -8,14 +8,16 @@ sample was dropped disappear. Lost toeholds are recovered by Psi walks of
 fewer than s steps; locating resolves ranges left to right through Psi
 images and falls back to the iphi chain at depth s - 1. All of that is the
 shared core in srindex.Subsampled; this module only fixes the direction.
+The full r-CSA (rcsa.RCsa) is this index at s = 1, where nothing is
+dropped.
 
 Variants mirror the BWT side: variant 1 keeps a validity bit per
 surviving mark gap (removed marks below the mark), variant 2 adds the
 distance from the mark down to the nearest removed one.
 """
 
-from .rcsa import DEFAULT_BLOCK, build_rcsa
 from .srindex import Subsampled, subsample
+from .succinct import DEFAULT_BLOCK
 
 
 def subsample_back(sorted_values, s):
@@ -72,20 +74,17 @@ class SrCsa(Subsampled):
 
     # -- queries -----------------------------------------------------------
 
-    def count(self, syms):
-        return self.runs.count(syms)
-
     def locate(self, syms, sort=False, counters=None):
         return self._locate(syms, sort, counters)
 
 
 def build_srcsa(bundle, s, variant=0, block=DEFAULT_BLOCK):
+    from .rcsa import build_rcsa
+
     return subsample_rcsa(build_rcsa(bundle, block), s, variant)
 
 
 def subsample_rcsa(rcsa, s, variant=0):
     """Build the subsampled index from a full one."""
-    # the k-th mark of the full index pairs with run mark_map[k]'s head
-    marks = zip(rcsa.marks_l.positions, rcsa.mark_map)
     return SrCsa(rcsa.runs, s, variant,
-                 *SrCsa._parts(rcsa.f_sa, marks, s, variant, rcsa.n))
+                 *SrCsa._parts(rcsa, rcsa.marks_l, s, variant))

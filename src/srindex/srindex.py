@@ -10,6 +10,10 @@ Variants add per-mark validity data so phi can be reused directly when no
 removed mark blocks it: variant 1 keeps one bit per surviving mark,
 variant 2 also keeps the distance to the nearest removed mark.
 
+The full indexes are the subsampled ones at s = 1, where the sweep drops
+nothing: RIndex (rindex.py) is an SrIndex and RCsa (rcsa.py) an SrCsa, so
+all four locating kinds count and locate through this one core.
+
 The BWT side (SrIndex, here) and the Psi side (SrCsa, in srcsa.py) differ
 only in direction. SrIndex walks LF, samples run ends, resolves a range
 right to left and reuses phi; SrCsa walks Psi, samples run heads, resolves
@@ -22,7 +26,6 @@ mirrored (negated) text positions.
 from bisect import bisect_right
 from itertools import accumulate
 
-from .rindex import build_rindex
 from .succinct import DenseBitvector, SparseBitvector
 
 
@@ -79,26 +82,26 @@ class Subsampled:
         self.valid_area = valid_area      # distances for invalid gaps
 
     @classmethod
-    def _parts(cls, samples, marks, s, variant, n):
-        """The build step of both sides.
-
-        samples[q-1] is run q's sample; marks are (stored position, run whose
-        sample the mark pairs with). The Psi side (DIR = +1) runs the BWT
-        side's sweep and validity rules on negated text positions. Returns
-        the constructor arguments (removed, samples_sub, marks, mark_map,
-        valid, valid_area).
+    def _parts(cls, full, marks, s, variant):
+        """The build step of both sides, from a full index (nothing
+        removed) and its marks: there run q's sample is samples_sub[q-1],
+        and the k-th mark pairs with run mark_map[k]'s sample. The Psi side
+        (DIR = +1) runs the BWT side's sweep and validity rules on negated
+        text positions. Returns the constructor arguments (removed,
+        samples_sub, marks, mark_map, valid, valid_area).
         """
-        sign = -cls.DIR
+        if full.removed.ones:
+            raise ValueError("only a full index can be subsampled")
+        samples, n, sign = full.samples_sub, full.n, -cls.DIR
         _, dropped = subsample(sorted(sign * v for v in samples), s)
         gone = [1 if sign * v in dropped else 0 for v in samples]
         gone_pfx = list(accumulate(gone, initial=0))
         kept, lost = [], []
-        for pos, q in marks:
+        for pos, q in zip(marks.positions, full.mark_map):
             if gone[q - 1]:
                 lost.append(sign * pos)
             else:
                 kept.append((pos, q - gone_pfx[q]))
-        kept.sort()
         valid = valid_area = None
         if variant:
             bits, areas = _validity(sorted(sign * p for p, _ in kept),
@@ -112,6 +115,9 @@ class Subsampled:
                 [v for v, bit in zip(samples, gone) if not bit],
                 SparseBitvector([p for p, _ in kept], n),
                 [slot for _, slot in kept], valid, valid_area)
+
+    def count(self, syms):
+        return self._direction()[0].count(syms)
 
     def count_toehold(self, syms, counters=None):
         """Backward search with deferred toehold resolution; returns
@@ -258,22 +264,17 @@ class SrIndex(Subsampled):
 
     # -- queries ----------------------------------------------------------
 
-    def count(self, syms):
-        return self.rl.count(syms)
-
     def locate(self, syms, sort=False, counters=None):
         return self._locate(syms, sort, counters)
 
 
 def build_srindex(bundle, s, variant=0):
+    from .rindex import build_rindex
+
     return subsample_rindex(build_rindex(bundle), s, variant)
 
 
 def subsample_rindex(rindex, s, variant=0):
     """Build the subsampled index from a full one."""
-    rl = rindex.rl
-    # run p's first-position mark pairs with the sample of run p-1 (cyclic)
-    marks = [(pos, p - 1 if p >= 2 else rl.r)
-             for pos, p in zip(rindex.first.positions, rindex.first_to_run)]
-    return SrIndex(rl, s, variant, rindex.sa_last,
-                   *SrIndex._parts(rindex.samples, marks, s, variant, rl.n))
+    return SrIndex(rindex.rl, s, variant, rindex.sa_last,
+                   *SrIndex._parts(rindex, rindex.marks, s, variant))

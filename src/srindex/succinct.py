@@ -9,6 +9,7 @@ Positions are 1-based throughout: rank1(i) counts ones among positions
 from bisect import bisect_left, bisect_right
 
 WORD = 64
+DEFAULT_BLOCK = 64  # values per block of a BlockedDeltaSeq
 
 
 class DenseBitvector:
@@ -197,33 +198,35 @@ class BlockedDeltaSeq:
     after a binary search on the anchors, each from the few bytes it spans.
     """
 
-    def __init__(self, values, block_size=64):
+    def __init__(self, values, block_size=DEFAULT_BLOCK):
         self.m = len(values)
-        self.B = max(1, block_size)
-        self.samples = []
+        self.B = B = max(1, block_size)
+        self.samples = [values[i] for i in range(0, self.m, B)]
         self.offsets = []
-        stream, nbits = 0, 0
-        prev = 0
-        for i, v in enumerate(values):
-            if i % self.B == 0:
-                self.samples.append(v)
+        codes = []                        # each code's bits, high bit first
+        nbits = 0
+        for i in range(self.m):
+            if i % B == 0:
                 self.offsets.append(nbits)
             else:
-                stream, nbits = delta_append(stream, nbits, v - prev)
-            prev = v
-        self.stream = stream.to_bytes((nbits + 7) // 8, "little")
+                code, width = delta_append(0, 0, values[i] - values[i - 1])
+                codes.append(format(code, f"0{width}b"))
+                nbits += width
+        # one join and one base-2 parse: linear in the stream, where OR-ing
+        # each code into a growing int copied the int once per code
+        self.stream = int("0" + "".join(reversed(codes)), 2).to_bytes(
+            (nbits + 7) // 8, "little")
         self.nbits = nbits
 
     @classmethod
     def from_parts(cls, m, block_size, samples, stream, nbits):
         """Rebuild from serialized parts (stream: bytes); block offsets are
-        recovered by a scan. Raises ValueError on parts that do not fit."""
+        recovered by a scan. Raises ValueError on parts that do not fit or
+        on values that are not strictly increasing."""
         if block_size < 1:
             raise ValueError("delta block size below 1")
         if len(samples) != -(-m // block_size):
             raise ValueError("delta anchors do not match length and block")
-        if any(a >= b for a, b in zip(samples, samples[1:])):
-            raise ValueError("delta anchors not increasing")
         if len(stream) != (nbits + 7) // 8:
             raise ValueError("delta stream length does not match its bits")
         seq = cls.__new__(cls)
@@ -234,11 +237,15 @@ class BlockedDeltaSeq:
         seq.nbits = nbits
         seq.offsets = []
         pos = 0
-        for k in range(len(seq.samples)):
+        for k, v in enumerate(seq.samples):
             seq.offsets.append(pos)
-            in_block = min(seq.B, m - k * seq.B) - 1
-            for _ in range(in_block):
-                _, pos = delta_read(stream, pos)
+            for _ in range(min(seq.B, m - k * seq.B) - 1):
+                g, pos = delta_read(stream, pos)
+                v += g
+            # gaps are at least 1, so this keeps the whole sequence
+            # strictly increasing, anchors included
+            if k + 1 < len(samples) and v >= samples[k + 1]:
+                raise ValueError("delta block reaches the next anchor")
         if pos != nbits:
             raise ValueError("delta codes do not end at the stream's end")
         return seq

@@ -12,7 +12,8 @@ from .rcsa import DEFAULT_BLOCK, build_psi_runs, build_rcsa
 from .rindex import build_rindex
 from .rlbwt import build_rlbwt
 from .srcsa import build_srcsa, subsample_rcsa
-from .srindex import build_srindex, subsample_rindex
+from .srindex import (QueryCounters, build_srindex, subsample,
+                      subsample_rindex)
 from .textcore import (build_bundle, ingest, oracle_search, pattern_symbols,
                        symbol_codes)
 
@@ -129,8 +130,6 @@ def _mutate(arr, alpha, p, rng):
 def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
     """Run structure of a text: n, r, n/r, confined Psi-run count, kept
     samples per s, and a run-head density histogram over text positions."""
-    from .srindex import subsample
-
     if bins < 1:
         raise ValueError("bins must be at least 1")
     text = ingest(data, fasta=fasta)
@@ -254,7 +253,7 @@ def bench(built, patterns, reps=3):
     per recorded occurrence: the depth k at which a subsampled locate
     resolved each occurrence after the toehold, averaged together with
     the lengths of toehold recovery walks. It is not a count of LF or Psi
-    steps walked, and it is 0 for kinds that record nothing.
+    steps walked, and it is 0 for every kind without subsampling.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -264,7 +263,6 @@ def bench(built, patterns, reps=3):
     total_occ = 0
     best_count = best_locate = float("inf")
     can_locate = built.kind != "rlbwt"
-    from .srindex import QueryCounters
     counters = QueryCounters()
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -276,10 +274,7 @@ def bench(built, patterns, reps=3):
             for pat in patterns:
                 syms = built.map_pattern(pat)
                 if syms is not None:
-                    if built.kind in SUBSAMPLED_KINDS:
-                        built.ix.locate(syms, counters=counters)
-                    else:
-                        built.ix.locate(syms)
+                    built.ix.locate(syms, counters=counters)
             best_locate = min(best_locate, time.perf_counter() - t0)
     occ_per_rep = total_occ // reps
     us_per_occ = (1e6 * best_locate / occ_per_rep

@@ -1,0 +1,71 @@
+"""Property-based oracle tests on adversarial texts: every kind, and the
+subsampled kinds at s = 1, 2 and n with variants 0, 1 and 2, must count
+and locate exactly what the naive scan finds."""
+
+import pytest
+
+from srindex.rcsa import build_rcsa
+from srindex.rindex import build_rindex
+from srindex.rlbwt import build_rlbwt
+from srindex.srcsa import subsample_rcsa
+from srindex.srindex import subsample_rindex
+from srindex.textcore import build_bundle, ingest, oracle_search
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+MAX_N = 300
+BYTE = st.integers(1, 255)       # 0x00 is reserved for the terminator
+
+
+TEXTS = st.one_of(
+    # periodic: a short unit repeated
+    st.builds(lambda unit, reps: (unit * reps)[:MAX_N],
+              st.lists(BYTE, min_size=1, max_size=6).map(bytes),
+              st.integers(1, MAX_N)),
+    # unary: a single BWT run of length n - 1 besides the terminator
+    st.builds(lambda c, n: bytes([c]) * n, BYTE, st.integers(1, MAX_N)),
+    # sigma = 255: all 255 byte values, in any order, then random ones
+    st.builds(lambda perm, tail: bytes(perm) + bytes(tail),
+              st.permutations(range(1, 256)),
+              st.lists(BYTE, max_size=MAX_N - 255)),
+    # distinct symbols only: every BWT run has length 1
+    st.lists(BYTE, min_size=1, max_size=255, unique=True).map(bytes),
+    # small alphabets
+    st.lists(st.integers(97, 99), min_size=1, max_size=MAX_N).map(bytes),
+)
+
+
+def indexes(data, block):
+    """(label, index) for all five kinds; sr-* at s = 1, 2 and n with
+    variants 0, 1 and 2, all from one suffix-array bundle."""
+    bundle = build_bundle(ingest(data))
+    rl = build_rlbwt(bundle)
+    ri = build_rindex(bundle, rl)
+    rc = build_rcsa(bundle, block)
+    out = [("rlbwt", rl), ("r-index", ri), ("r-csa", rc)]
+    for s in (1, 2, bundle.n):
+        for v in (0, 1, 2):
+            out.append((f"sr-index s={s} v={v}", subsample_rindex(ri, s, v)))
+            out.append((f"sr-csa s={s} v={v}", subsample_rcsa(rc, s, v)))
+    return out
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(data=TEXTS, block=st.sampled_from([1, 4, 64]),
+                  draws=st.data())
+def test_every_kind_matches_oracle(data, block, draws):
+    text = ingest(data)
+    patterns = [data[i:i + m] for i, m in draws.draw(st.lists(
+        st.tuples(st.integers(0, len(data) - 1), st.integers(1, 12)),
+        min_size=1, max_size=6))]
+    patterns += draws.draw(st.lists(st.lists(BYTE, min_size=1, max_size=4)
+                                    .map(bytes), max_size=2))
+    for label, ix in indexes(data, block):
+        for pat in patterns:
+            occ, want = oracle_search(text, pat)
+            syms = text.map_pattern(pat)
+            assert (0 if syms is None else ix.count(syms)) == occ, label
+            if label != "rlbwt":
+                got = [] if syms is None else sorted(ix.locate(syms))
+                assert got == want, (label, pat)

@@ -54,7 +54,7 @@ class TestPsi:
                                rng.choice([2, 4, 26]))
             _, b, rc = make(data, block)
             for i in range(1, b.n + 1):
-                assert rc.psi(i) == b.psi[i - 1], (data, i, block)
+                assert rc.runs.psi(i) == b.psi[i - 1], (data, i, block)
 
     def test_confined_run_count_equals_r(self):
         rng = random.Random(41)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex.rcsa import build_rcsa
 from srindex.srcsa import build_srcsa, subsample_back, subsample_rcsa
@@ -70,6 +72,16 @@ class TestDegenerationS1:
                 assert sc.locate(syms, counters=c) == rc.locate(syms)
                 assert sc.count_toehold(syms) == rc.count_toehold(syms)
                 assert c.max_walk == 0 and c.walk_steps == 0
+
+    def test_only_a_full_index_is_subsampled(self):
+        _, _, rc = make(b"abracadabra" * 8)
+        direct = subsample_rcsa(rc, 4, 1)
+        again = subsample_rcsa(subsample_rcsa(rc, 1, 0), 4, 1)
+        assert again.samples_sub == direct.samples_sub
+        assert again.mark_map == direct.mark_map
+        assert direct.removed.ones
+        with pytest.raises(ValueError):
+            subsample_rcsa(direct, 2)
 
 
 class TestQueries:

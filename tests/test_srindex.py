@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex.rindex import build_rindex
 from srindex.srindex import (QueryCounters, build_srindex, subsample,
@@ -93,6 +95,22 @@ class TestDegenerationS1:
                 assert got == ri.locate(syms)  # same emission order
                 assert si.count_toehold(syms) == ri.count_toehold(syms)
                 assert c.max_walk == 0 and c.walk_steps == 0
+
+    def test_only_a_full_index_is_subsampled(self):
+        # an sr-index at s = 1 is a full index and subsamples like one;
+        # one that lost samples would pair its marks with the wrong runs
+        data = b"abracadabra" * 8
+        t, _, ri = make(data)
+        s1 = subsample_rindex(ri, 1, 2)
+        again = subsample_rindex(s1, 4, 2)
+        direct = subsample_rindex(ri, 4, 2)
+        assert again.marks.positions == direct.marks.positions
+        assert again.mark_map == direct.mark_map
+        assert again.locate(t.map_pattern(b"abra"), sort=True) == \
+            naive_occurrences(data, b"abra")
+        assert direct.removed.ones
+        with pytest.raises(ValueError):
+            subsample_rindex(direct, 2)
 
 
 class TestQueries:

@@ -294,6 +294,27 @@ class TestBlockedDeltaSeq:
             assert isinstance(seq.stream, bytes)
             assert len(seq.stream) == (seq.nbits + 7) // 8
 
+    def test_stream_is_delta_append_fold(self):
+        # the stream holds exactly the codes delta_append writes, one after
+        # another: the in-block gaps, with every block's anchor left out
+        rng = random.Random(10)
+        for _ in range(60):
+            block = rng.choice([1, 2, 3, 7, 64, 1000])
+            top = rng.choice([1, 50, 10**4, 2**70])
+            vals = list(accumulate(rng.randint(1, top)
+                                   for _ in range(rng.randrange(300))))
+            stream = nbits = 0
+            offsets = []
+            for i, v in enumerate(vals):
+                if i % block == 0:
+                    offsets.append(nbits)
+                else:
+                    stream, nbits = delta_append(stream, nbits,
+                                                 v - vals[i - 1])
+            seq = BlockedDeltaSeq(vals, block)
+            assert seq.nbits == nbits and seq.offsets == offsets
+            assert seq.stream == stream.to_bytes((nbits + 7) // 8, "little")
+
     def test_from_parts_rejects_misfits(self):
         seq = BlockedDeltaSeq(list(range(0, 300, 3)), 8)
         parts = (seq.m, seq.B, seq.samples, seq.stream, seq.nbits)
@@ -303,6 +324,8 @@ class TestBlockedDeltaSeq:
             (m + 8, B, samples, stream, nbits),            # too few anchors
             (m, B, samples[:-1], stream, nbits),
             (m, B, samples[::-1], stream, nbits),          # not increasing
+            # anchors increase, but block 0 (0 .. 21) reaches the next one
+            (m, B, samples[:1] + [21] + samples[2:], stream, nbits),
             (m, B, [0] * len(samples), stream, nbits),
             (m, B, samples, stream + b"\x00", nbits),     # length mismatch
             (m, B, samples, stream[:-1], nbits),

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex import envelope, toolkit
-from srindex.succinct import DenseBitvector
+from srindex.succinct import BlockedDeltaSeq, DenseBitvector, delta_append
 from srindex.textcore import ingest, oracle_search
 
 ALL_BUILDS = [
@@ -124,6 +124,22 @@ def delta_payload(fields):
     return out
 
 
+def raise_last_head(ix):
+    """Symbol 2's Psi-run heads [1, 12, 27] become [1, 12, 10**6]."""
+    heads = ix.runs.heads[2].to_list()
+    assert heads == [1, 12, 27]
+    ix.runs.heads[2] = BlockedDeltaSeq(heads[:-1] + [10**6], 4)
+
+
+def swap_i_psi(ix):
+    i_psi = ix.runs.i_psi
+    i_psi[1], i_psi[2] = i_psi[2], i_psi[1]
+
+
+# one Elias-delta code: (bits as an int, bit count)
+GAP_30 = delta_append(0, 0, 30)
+
+
 class TestEnvelope:
     def test_roundtrip_byte_stable(self):
         rng = random.Random(61)
@@ -162,8 +178,9 @@ class TestEnvelope:
         ("r-csa", None, 0, lambda ix: ix.mark_map.__setitem__(0, 10**6),
          "mark_map"),
         ("r-csa", None, 0, lambda ix: ix.mark_map.pop(), "mark_map"),
+        # first_to_run is derived from mark_map: -1 there writes a 0 in it
         ("r-index", None, 0,
-         lambda ix: ix.first_to_run.__setitem__(0, 10**6), "first_to_run"),
+         lambda ix: ix.mark_map.__setitem__(0, -1), "first_to_run"),
         ("sr-index", 4, 0, lambda ix: ix.mark_map.__setitem__(0, 0),
          "mark_map"),
         ("sr-csa", 4, 0,
@@ -198,13 +215,21 @@ class TestEnvelope:
          "outside"),
         ("sr-csa", 4, 2, lambda ix: ix.samples_sub.__setitem__(
             -1, ix.n + 10**6), "outside"),
+        # Psi-run values: loaded, these made count(b"a") return 5 and 24,
+        # not 25
+        ("r-csa", None, 0, raise_last_head, "psi run values"),
+        ("sr-csa", 4, 1, raise_last_head, "psi run values"),
+        ("r-csa", None, 0, swap_i_psi, "i_psi"),
+        ("sr-csa", 4, 0, swap_i_psi, "i_psi"),
     ], ids=["r-csa-map-range", "r-csa-map-short", "r-index-map-range",
             "sr-index-map-zero", "sr-csa-map-range", "sr-index-valid-len",
             "sr-csa-area-len", "dense-words", "dense-past-n",
             "sparse-dup", "r-index-sa-shifted", "r-index-sa-n",
             "sr-index-sa-shifted", "sr-index-sa-n", "sr-index-last-high",
             "sr-index-last-zero", "r-csa-sa-high", "r-csa-sa-zero",
-            "sr-csa-sa-zero", "sr-csa-sa-high"])
+            "sr-csa-sa-zero", "sr-csa-sa-high", "r-csa-head-past-n",
+            "sr-csa-head-past-n", "r-csa-i_psi-swapped",
+            "sr-csa-i_psi-swapped"])
     def test_crafted_tables_rejected(self, kind, s, variant, mutate, match):
         # CRC-valid envelopes whose tables would send locate out of range
         bi = toolkit.build_index(b"abracadabra" * 5, kind, s=s,
@@ -225,9 +250,16 @@ class TestEnvelope:
         ("r-csa", "psi_heads", 2, {4: b"d\xe4\x00"}),    # stream too long
         ("sr-csa", "psi_tails", 2, {4: b"\x00\x00\x00"}),
         ("r-csa", "psi_tails", 2, {0: 2, 2: 5, 4: b"\x06"}),  # a tail short
+        # symbol 2's heads [1, 12, 27] at B = 2: anchors 1 and 27, and a
+        # gap of 30 takes block 1 to 31, past its next anchor
+        ("r-csa", "psi_heads", 2, {1: 2, 2: GAP_30[1], 3: [1, 27],
+                                   4: GAP_30[0].to_bytes(2, "little")}),
+        ("sr-csa", "psi_heads", 2, {1: 2, 2: GAP_30[1], 3: [1, 27],
+                                    4: GAP_30[0].to_bytes(2, "little")}),
     ], ids=["zeroed", "cut-short", "codes-run-out", "past-nbits", "block-0",
             "few-anchors", "many-anchors", "anchors-decrease", "long-stream",
-            "sr-csa-tails-zeroed", "tails-fewer-than-heads"])
+            "sr-csa-tails-zeroed", "tails-fewer-than-heads",
+            "r-csa-gap-past-anchor", "sr-csa-gap-past-anchor"])
     def test_crafted_delta_stream_rejected(self, kind, section, c, change):
         # CRC-valid envelopes whose delta stream does not fit its m and B;
         # a stream with too few codes used to make the loader spin forever
