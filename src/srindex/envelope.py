@@ -7,10 +7,12 @@ trailing crc32 over everything before it. All integers little-endian.
 One table, FORMAT, says what every kind stores: its classes, the header
 fields their constructors take, and (section, attribute, codec) rows, with
 the run-length BWT and Psi-run groups shared. serialize and deserialize
-only walk it. Sparse bitvectors are Elias-Fano coded here, and only here.
-Rank directories and derived tables are rebuilt on load; the load path
-checks the checksum, that the sections are exactly the ones the table
-names for the kind and variant, and the invariants in CHECKS.
+only walk it. Sparse bitvectors are Elias-Fano coded here, and the Psi-run
+heads and tails blocked Elias-delta coded, and only here. Rank
+directories and derived tables are rebuilt on load; the load path checks
+the checksum, that the sections are exactly the ones the table names for
+the kind and variant, the invariants in CHECKS, and the ones the
+constructors check (a Psi run's tail against its head and length).
 """
 
 import struct
@@ -22,7 +24,8 @@ from .rindex import RIndex
 from .rlbwt import RunLengthBWT
 from .srcsa import SrCsa
 from .srindex import SrIndex
-from .succinct import WORD, BlockedDeltaSeq, DenseBitvector, SparseBitvector
+from . import succinct
+from .succinct import WORD, DenseBitvector, SparseBitvector, delta_append
 
 MAGIC = b"SRIX"
 FORMAT_VERSION = 1
@@ -53,6 +56,10 @@ def _ints_at(blob, off):
     """pack_ints payload at offset off -> (values, offset after it)."""
     width, count = struct.unpack_from("<BQ", blob, off)
     end = off + 9 + (width * count + 7) // 8
+    if not width or end > len(blob):
+        # a count the bytes cannot hold would decode as zeros, slowly
+        raise ValueError(f"{count} packed ints of {width} bits run past "
+                         "their section")
     acc = int.from_bytes(blob[off + 9:end], "little")
     mask = (1 << width) - 1
     return [(acc >> (i * width)) & mask for i in range(count)], end
@@ -117,46 +124,94 @@ def _sparse_from(blob):
     return SparseBitvector(positions, n)
 
 
-def _delta_bytes(seq):
-    head = struct.pack("<QQQ", seq.m, seq.B, seq.nbits)
-    return head + pack_ints(seq.samples) + seq.stream
+def _delta_bytes(values, block):
+    """One strictly increasing sequence: its length m, the block size B
+    and the bit count of its stream, every B-th value verbatim as an
+    anchor (packed ints), then the stream: the gap from each other value
+    to its left neighbour as an Elias-delta code."""
+    codes = []                        # each code's bits, high bit first
+    nbits = 0
+    for i in range(1, len(values)):
+        if i % block:
+            code, width = delta_append(0, 0, values[i] - values[i - 1])
+            codes.append(format(code, f"0{width}b"))
+            nbits += width
+    # one join and one base-2 parse: linear in the stream, where OR-ing
+    # each code into a growing int copied the int once per code
+    stream = int("0" + "".join(reversed(codes)), 2).to_bytes(
+        (nbits + 7) // 8, "little")
+    return (struct.pack("<QQQ", len(values), block, nbits)
+            + pack_ints(values[::block]) + stream)
 
 
-def _delta_from(blob):
+def _delta_from(blob, block):
+    """Decode _delta_bytes in one pass, one delta_read per code. Raises
+    ValueError on parts that do not fit, on a block size other than
+    block, or on values that are not strictly increasing."""
     m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
-    samples, off = _ints_at(blob, 24)
-    return BlockedDeltaSeq.from_parts(m, B, samples, bytes(blob[off:]), nbits)
+    if B != block:
+        raise ValueError(f"delta block size {B} is not the header's {block}")
+    anchors, off = _ints_at(blob, 24)
+    stream = bytes(blob[off:])
+    if len(anchors) != -(-m // B):
+        raise ValueError("delta anchors do not match length and block")
+    if len(stream) != (nbits + 7) // 8:
+        raise ValueError("delta stream length does not match its bits")
+    read = succinct.delta_read        # looked up where a tracer wraps it
+    values = []
+    pos = 0
+    for k, v in enumerate(anchors):
+        values.append(v)
+        for _ in range(min(B, m - k * B) - 1):
+            g, pos = read(stream, pos)
+            v += g
+            values.append(v)
+        # gaps are at least 1, so this keeps the whole sequence
+        # strictly increasing, anchors included
+        if k + 1 < len(anchors) and v >= anchors[k + 1]:
+            raise ValueError("delta block reaches the next anchor")
+    if pos != nbits:
+        raise ValueError("delta codes do not end at the stream's end")
+    return values
 
 
-def _deltas_bytes(seqs):
-    """Per-symbol delta streams (dict c -> seq, c = 1..sigma), in order."""
+def _deltas_bytes(seqs, head):
+    """Per-symbol delta streams (dict c -> BlockedDeltaSeq, c = 1..sigma),
+    in order, at the header's block size."""
     out = [struct.pack("<I", len(seqs))]
     for c in sorted(seqs):
-        b = _delta_bytes(seqs[c])
+        b = _delta_bytes(seqs[c].values, head["block"])
         out.append(struct.pack("<Q", len(b)))
         out.append(b)
     return b"".join(out)
 
 
-def _deltas_from(blob):
+def _deltas_from(blob, head):
+    """Decode _deltas_bytes to dict c -> list of values."""
     (count,) = struct.unpack_from("<I", blob, 0)
     off = 4
     out = {}
     for c in range(1, count + 1):
         (ln,) = struct.unpack_from("<Q", blob, off)
         off += 8
-        out[c] = _delta_from(blob[off:off + ln])
+        out[c] = _delta_from(blob[off:off + ln], head["block"])
         off += ln
     return out
 
 
+def _plain(encode, decode):
+    """A codec whose bytes do not depend on the header."""
+    return (lambda value, head: encode(value), lambda blob, head: decode(blob))
+
+
 # -- the format table -----------------------------------------------------
 
-# codecs: (encode, decode)
-INTS = (pack_ints, unpack_ints)
-DENSE = (_dense_bytes, _dense_from)
-SPARSE = (_sparse_bytes, _sparse_from)
-U64 = (lambda v: struct.pack("<Q", v), lambda b: struct.unpack("<Q", b)[0])
+# codecs: (encode(value, header), decode(bytes, header))
+INTS = _plain(pack_ints, unpack_ints)
+DENSE = _plain(_dense_bytes, _dense_from)
+SPARSE = _plain(_sparse_bytes, _sparse_from)
+U64 = _plain(lambda v: struct.pack("<Q", v),
+             lambda b: struct.unpack("<Q", b)[0])
 DELTAS = (_deltas_bytes, _deltas_from)
 
 # A layer is (class, the argument name the next layer gets it under,
@@ -264,11 +319,11 @@ CHECKS = [
      and all(a < b for a, b in zip(v["i_psi"], v["i_psi"][1:]))
      and v["i_psi"][-1] <= h["n"],
      "i_psi is not increasing from 1 within the text"),
-    # each delta stream is strictly increasing (from_parts checks it), so
+    # each delta stream is strictly increasing (its decoder checks it), so
     # its first and last values bound all of it
     (("psi_heads", "psi_tails"), lambda v, h: all(
-        not seq.m or seq.samples[0] >= 1 and seq.access(seq.m) <= h["n"]
-        for name in ("psi_heads", "psi_tails") for seq in v[name].values()),
+        not vals or vals[0] >= 1 and vals[-1] <= h["n"]
+        for name in ("psi_heads", "psi_tails") for vals in v[name].values()),
      "psi run values outside the text"),
     (("samples", "first_to_run"), lambda v, h:
      len(v["samples"]) == len(v["first_to_run"]) == h["r"],
@@ -326,7 +381,7 @@ def serialize(ix, alphabet):
     sections = {"alphabet": pack_ints(list(alphabet))}
     for obj, rows in zip(objs, _rows(kind, head["variant"])):
         for name, attr, (encode, _) in rows:
-            sections[name] = encode(getattr(obj, attr))
+            sections[name] = encode(getattr(obj, attr), head)
     names = sorted(sections)
     header = MAGIC + struct.pack(
         "<IBBHQQQQQI", FORMAT_VERSION, KINDS.index(kind), head["variant"], 0,
@@ -388,7 +443,8 @@ def deserialize(data):
     kind, head, blobs = _open(data)
     layers = FORMAT[kind]
     taken = {f for layer in layers for f in layer[2]}
-    if head["variant"] > 2 or ("s" in taken and head["s"] < 1) or any(
+    if head["variant"] > 2 or any(
+            f in taken and head[f] < 1 for f in ("s", "block")) or any(
             head[f] for f in ("s", "block", "variant") if f not in taken):
         raise FormatError(f"header parameters do not fit {kind}")
     rows = _rows(kind, head["variant"])
@@ -399,7 +455,7 @@ def deserialize(data):
     values = {}
     for name, _, (_, decode) in [("alphabet", None, INTS)] + sum(rows, []):
         try:
-            values[name] = decode(blobs[name])
+            values[name] = decode(blobs[name], head)
         except (struct.error, ValueError, IndexError) as exc:
             raise FormatError(f"section {name}: {exc}") from exc
     for names, ok, message in CHECKS:
@@ -411,7 +467,10 @@ def deserialize(data):
         args.update((a, values[name]) for name, a, _ in layer_rows)
         if ix is not None:
             args[inner] = ix
-        ix, inner = cls(**args), attr
+        try:
+            ix, inner = cls(**args), attr
+        except ValueError as exc:     # a constructor's own check
+            raise FormatError(str(exc)) from exc
     return ix, kind, values["alphabet"]
 
 

@@ -23,7 +23,11 @@ from .succinct import (DEFAULT_BLOCK, BlockedDeltaSeq, DenseBitvector,
 
 
 class PsiRuns(BackwardSearch):
-    """Counting structures: per-symbol head/tail streams plus run geometry."""
+    """Counting structures: per-symbol Psi-run heads plus run geometry.
+
+    A run's tail is its head plus its length minus one, so tails are
+    derived; the ones the constructor is given are checked, then dropped.
+    """
 
     def __init__(self, n, sigma, C, i_psi, heads, tails, block=DEFAULT_BLOCK):
         self.n = n
@@ -31,12 +35,27 @@ class PsiRuns(BackwardSearch):
         self.C = C                    # C[c] symbols smaller than c
         self.i_psi = i_psi            # global run -> first position
         self.r = len(i_psi)
-        self.block = block
+        self.block = block            # B of the delta streams on disk
         # first_run[c] = 1-based global index of c's first run (r+1 if none);
         # runs never cross symbol blocks, so it counts runs starting <= C[c]
         self.first_run = [bisect_right(i_psi, x) + 1 for x in C]
-        self.heads = heads            # dict c -> BlockedDeltaSeq
-        self.tails = tails
+        self.heads = {c: BlockedDeltaSeq(v, n) for c, v in heads.items()}
+        if any(tails[c] != self._tails(c) for c in self.heads):
+            raise ValueError("psi run tails are not heads plus run lengths")
+
+    def _tails(self, c):
+        heads = self.heads[c].values
+        lo = self.first_run[c] - 1
+        hi = lo + len(heads)
+        starts = self.i_psi
+        # a run ends where the next one starts, the last one at n + 1
+        ends = starts[lo + 1:hi + 1] + [self.n + 1]
+        return [h + e - s - 1 for h, s, e in zip(heads, starts[lo:hi], ends)]
+
+    @property
+    def tails(self):
+        """Per symbol, its runs' tails: what the psi_tails section holds."""
+        return {c: BlockedDeltaSeq(self._tails(c), self.n) for c in self.heads}
 
     def run_count(self, c):
         return self.first_run[c + 1] - self.first_run[c]
@@ -53,8 +72,7 @@ class PsiRuns(BackwardSearch):
         return self.heads[c].access(q - self.first_run[c] + 1)
 
     def tail_value(self, q):
-        c = self.symbol_of_run(q)
-        return self.tails[c].access(q - self.first_run[c] + 1)
+        return self.head_value(q) + self.run_end(q) - self.run_start(q)
 
     def run_start(self, q):
         return self.i_psi[q - 1]
@@ -67,30 +85,30 @@ class PsiRuns(BackwardSearch):
         return self.head_value(q) + (i - self.i_psi[q - 1])
 
     def backward_step(self, rng, c):
-        """Positions in the c-block whose Psi value lies in rng, or None."""
+        """Positions in the c-block whose Psi value lies in rng, or None.
+
+        Psi increases along the block, by one within a run. Each end of
+        rng falls in or after the run with the last head <= it: ep maps to
+        its offset in that run, capped at the run's end, and sp to its
+        offset, or to just past the run's end.
+        """
         sp, ep = rng
-        rc = self.run_count(c)
-        if rc == 0:
+        if self.run_count(c) == 0:
             return None
-        heads, tails = self.heads[c], self.tails[c]
+        heads = self.heads[c]
         base = self.first_run[c] - 1
-        # leftmost candidate run: first whose tail reaches sp
-        p = tails.pred(sp - 1)
-        k0 = (p[1] if p else 0) + 1
-        if k0 > rc:
-            return None
-        h0 = heads.access(k0)
-        if h0 > ep:
-            return None
-        sp2 = self.i_psi[base + k0 - 1] + max(0, sp - h0)
-        # rightmost candidate run: last whose head is <= ep
         p = heads.pred(ep)
-        k1 = p[1]
-        t1 = tails.access(k1)
-        ep2 = self.i_psi[base + k1 - 1] + (min(ep, t1) - p[0])
-        if sp2 > ep2:
+        if p is None:
             return None
-        return sp2, ep2
+        q = base + p[1]
+        ep2 = min(self.run_start(q) + ep - p[0], self.run_end(q))
+        p = heads.pred(sp)
+        if p is None:
+            sp2 = self.run_start(base + 1)
+        else:
+            q = base + p[1]
+            sp2 = min(self.run_start(q) + sp - p[0], self.run_end(q) + 1)
+        return (sp2, ep2) if sp2 <= ep2 else None
 
     def toehold_run(self, sp, ep, c):
         """How a step by c moves the toehold SA[sp]: 0 when it just drops
@@ -99,9 +117,10 @@ class PsiRuns(BackwardSearch):
         if self.run_count(c) == 0:
             return None
         p = self.heads[c].pred(sp)
-        if p is not None and sp <= self.tails[c].access(p[1]):
-            return 0
-        return self.first_run[c] + (p[1] if p else 0)
+        if p is None:
+            return self.first_run[c]
+        q = self.first_run[c] - 1 + p[1]
+        return 0 if self.run_start(q) + sp - p[0] <= self.run_end(q) else q + 1
 
 
 class RCsa(SrCsa):
@@ -142,10 +161,7 @@ def build_psi_runs(bundle, block=DEFAULT_BLOCK):
         c = bisect_left(C, pos) - 1
         heads[c].append(h)
         tails[c].append(t)
-    return PsiRuns(n, sigma, C, i_psi,
-                   {c: BlockedDeltaSeq(v, block) for c, v in heads.items()},
-                   {c: BlockedDeltaSeq(v, block) for c, v in tails.items()},
-                   block)
+    return PsiRuns(n, sigma, C, i_psi, heads, tails, block)
 
 
 def build_rcsa(bundle, block=DEFAULT_BLOCK):

@@ -94,9 +94,6 @@ class RunLengthBWT(BackwardSearch):
         """Last bwt position of run p."""
         return self.start.positions[p] - 1 if p < self.r else self.n
 
-    def is_run_end(self, j):
-        return j == self.n or self.start.get(j + 1) == 1
-
     def bwt_access(self, j):
         return self.letters[self.run_of(j) - 1]
 

@@ -1,15 +1,17 @@
 """Succinct building blocks: bitvectors with rank, a sparse bitvector
 (Elias-Fano coded on disk), per-symbol rank/select over short sequences,
-and blocked delta-coded increasing integer sequences.
+increasing integer sequences (blocked Elias-delta coded on disk), and the
+Elias-delta code itself.
 
 Positions are 1-based throughout: rank1(i) counts ones among positions
 1..i.
 """
 
+from array import array
 from bisect import bisect_left, bisect_right
 
 WORD = 64
-DEFAULT_BLOCK = 64  # values per block of a BlockedDeltaSeq
+DEFAULT_BLOCK = 64  # values per block of an Elias-delta stream on disk
 
 
 class DenseBitvector:
@@ -190,107 +192,21 @@ def _bits(buf, pos, count):
 
 
 class BlockedDeltaSeq:
-    """Strictly increasing non-negative integers, gap-coded with Elias-delta.
+    """One symbol's Psi-run heads: strictly increasing non-negative
+    integers, held decoded in an array whose items fit a text of length n.
+    On disk they are blocked Elias-delta gap codes (the DELTAS codec in
+    envelope.py), which no query reads."""
 
-    Every block_size-th value is kept verbatim as a block anchor; the rest
-    are coded as gaps to their left neighbor, in one stream held as the
-    bytes the envelope stores. Access decodes at most block_size - 1 codes
-    after a binary search on the anchors, each from the few bytes it spans.
-    """
-
-    def __init__(self, values, block_size=DEFAULT_BLOCK):
-        self.m = len(values)
-        self.B = B = max(1, block_size)
-        self.samples = [values[i] for i in range(0, self.m, B)]
-        self.offsets = []
-        codes = []                        # each code's bits, high bit first
-        nbits = 0
-        for i in range(self.m):
-            if i % B == 0:
-                self.offsets.append(nbits)
-            else:
-                code, width = delta_append(0, 0, values[i] - values[i - 1])
-                codes.append(format(code, f"0{width}b"))
-                nbits += width
-        # one join and one base-2 parse: linear in the stream, where OR-ing
-        # each code into a growing int copied the int once per code
-        self.stream = int("0" + "".join(reversed(codes)), 2).to_bytes(
-            (nbits + 7) // 8, "little")
-        self.nbits = nbits
-
-    @classmethod
-    def from_parts(cls, m, block_size, samples, stream, nbits):
-        """Rebuild from serialized parts (stream: bytes); block offsets are
-        recovered by a scan. Raises ValueError on parts that do not fit or
-        on values that are not strictly increasing."""
-        if block_size < 1:
-            raise ValueError("delta block size below 1")
-        if len(samples) != -(-m // block_size):
-            raise ValueError("delta anchors do not match length and block")
-        if len(stream) != (nbits + 7) // 8:
-            raise ValueError("delta stream length does not match its bits")
-        seq = cls.__new__(cls)
-        seq.m = m
-        seq.B = block_size
-        seq.samples = list(samples)
-        seq.stream = stream
-        seq.nbits = nbits
-        seq.offsets = []
-        pos = 0
-        for k, v in enumerate(seq.samples):
-            seq.offsets.append(pos)
-            for _ in range(min(seq.B, m - k * seq.B) - 1):
-                g, pos = delta_read(stream, pos)
-                v += g
-            # gaps are at least 1, so this keeps the whole sequence
-            # strictly increasing, anchors included
-            if k + 1 < len(samples) and v >= samples[k + 1]:
-                raise ValueError("delta block reaches the next anchor")
-        if pos != nbits:
-            raise ValueError("delta codes do not end at the stream's end")
-        return seq
-
-    def __len__(self):
-        return self.m
+    def __init__(self, values, n):
+        self.values = array("I" if n < 1 << 32 else "Q", values)
 
     def access(self, i):
         """Value at 1-based index i."""
-        if not 1 <= i <= self.m:
+        if not 1 <= i <= len(self.values):
             raise IndexError("access out of range")
-        k, off = divmod(i - 1, self.B)
-        v = self.samples[k]
-        pos = self.offsets[k]
-        for _ in range(off):
-            g, pos = delta_read(self.stream, pos)
-            v += g
-        return v
+        return self.values[i - 1]
 
     def pred(self, x):
         """Largest value <= x with its 1-based index, or None."""
-        k = bisect_right(self.samples, x) - 1
-        if k < 0:
-            return None
-        v = self.samples[k]
-        idx = k * self.B + 1
-        pos = self.offsets[k]
-        in_block = min(self.B, self.m - k * self.B) - 1
-        for _ in range(in_block):
-            g, pos = delta_read(self.stream, pos)
-            if v + g > x:
-                break
-            v += g
-            idx += 1
-        return v, idx
-
-    def to_list(self):
-        out = []
-        pos = 0
-        v = 0
-        for i in range(self.m):
-            if i % self.B == 0:
-                v = self.samples[i // self.B]
-            else:
-                g, pos = delta_read(self.stream, pos)
-                v += g
-            out.append(v)
-        return out
+        k = bisect_right(self.values, x)
+        return (self.values[k - 1], k) if k else None

@@ -74,9 +74,5 @@ class TestRandom:
         for p in range(1, rl.r + 1):
             e = rl.run_end(p)
             assert rl.run_of(e) == p
-            assert rl.is_run_end(e)
             if e < rl.n:
                 assert rl.run_of(e + 1) == p + 1
-                if rl.run_end(p + 1) > rl.run_start(p + 1):
-                    # a longer run's start is not its end
-                    assert not rl.is_run_end(rl.start.positions[p])

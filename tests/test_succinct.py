@@ -1,13 +1,14 @@
 import random
 import struct
-from bisect import bisect_right
+from array import array
 from itertools import accumulate
 
 import pytest
 
-from srindex.envelope import (FormatError, _ints_at, _sparse_bytes,
-                              _sparse_from, pack_ints)
-from srindex import succinct
+from conftest import naive_occurrences, random_text, sample_patterns
+from srindex.envelope import (FormatError, _delta_bytes, _delta_from,
+                              _ints_at, _sparse_bytes, _sparse_from, pack_ints)
+from srindex import succinct, toolkit
 from srindex.succinct import (DELTA_WINDOW, BlockedDeltaSeq, DenseBitvector,
                               SparseBitvector, SymbolSequence, delta_append,
                               delta_read)
@@ -261,6 +262,30 @@ class TestDeltaCoding:
         roundtrip()
 
 
+def delta_parts(blob):
+    """_delta_bytes output -> (m, B, nbits, anchors, stream)."""
+    m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
+    anchors, off = _ints_at(blob, 24)
+    return m, B, nbits, anchors, blob[off:]
+
+
+def delta_blob(m, B, nbits, anchors, stream):
+    return struct.pack("<QQQ", m, B, nbits) + pack_ints(anchors) + stream
+
+
+def counting_reads(monkeypatch):
+    """Patch succinct.delta_read to log the bit offset of every call."""
+    calls = []
+    read = succinct.delta_read
+
+    def counted(buf, pos):
+        calls.append(pos)
+        return read(buf, pos)
+
+    monkeypatch.setattr(succinct, "delta_read", counted)
+    return calls
+
+
 class TestBlockedDeltaSeq:
     @pytest.mark.parametrize("block", [1, 2, 3, 64, 10_000])
     def test_access_and_pred(self, block):
@@ -268,8 +293,9 @@ class TestBlockedDeltaSeq:
         for _ in range(40):
             m = rng.randrange(0, 80)
             vals = sorted(rng.sample(range(0, 5000), m))
-            seq = BlockedDeltaSeq(vals, block)
-            assert seq.to_list() == vals
+            assert _delta_from(_delta_bytes(vals, block), block) == vals
+            seq = BlockedDeltaSeq(vals, 5000)
+            assert list(seq.values) == vals
             for i, v in enumerate(vals, 1):
                 assert seq.access(i) == v
             for x in [-1, 0, 2500, 4999, 6000] + \
@@ -280,19 +306,21 @@ class TestBlockedDeltaSeq:
                         want = (v, i)
                 assert seq.pred(x) == want
 
-    def test_from_parts(self):
+    def test_codec_roundtrip(self):
         rng = random.Random(9)
         for block in (1, 4, 64):
             vals = sorted(rng.sample(range(100_000), 300))
-            seq = BlockedDeltaSeq(vals, block)
-            rebuilt = BlockedDeltaSeq.from_parts(
-                seq.m, seq.B, seq.samples, seq.stream, seq.nbits)
-            assert rebuilt.to_list() == vals
-            assert rebuilt.offsets == seq.offsets
-            # held as the bytes the envelope stores
-            assert seq.stream == rebuilt.stream
-            assert isinstance(seq.stream, bytes)
-            assert len(seq.stream) == (seq.nbits + 7) // 8
+            blob = _delta_bytes(array("I", vals), block)
+            assert _delta_bytes(vals, block) == blob
+            assert _delta_from(blob, block) == vals
+            m, B, nbits, anchors, stream = delta_parts(blob)
+            assert (m, B, anchors) == (300, block, vals[::block])
+            assert len(stream) == (nbits + 7) // 8
+
+    def test_item_size_fits_n(self):
+        assert BlockedDeltaSeq([1, 2**32 - 1], 2**32 - 1).values.itemsize == 4
+        seq = BlockedDeltaSeq([1, 2**32, 2**40], 2**40)
+        assert seq.values.itemsize == 8 and seq.access(3) == 2**40
 
     def test_stream_is_delta_append_fold(self):
         # the stream holds exactly the codes delta_append writes, one after
@@ -304,69 +332,83 @@ class TestBlockedDeltaSeq:
             vals = list(accumulate(rng.randint(1, top)
                                    for _ in range(rng.randrange(300))))
             stream = nbits = 0
-            offsets = []
             for i, v in enumerate(vals):
-                if i % block == 0:
-                    offsets.append(nbits)
-                else:
+                if i % block:
                     stream, nbits = delta_append(stream, nbits,
                                                  v - vals[i - 1])
-            seq = BlockedDeltaSeq(vals, block)
-            assert seq.nbits == nbits and seq.offsets == offsets
-            assert seq.stream == stream.to_bytes((nbits + 7) // 8, "little")
+            blob = _delta_bytes(vals, block)
+            assert delta_parts(blob) == (
+                len(vals), block, nbits, vals[::block],
+                stream.to_bytes((nbits + 7) // 8, "little"))
+            assert _delta_from(blob, block) == vals
 
-    def test_from_parts_rejects_misfits(self):
-        seq = BlockedDeltaSeq(list(range(0, 300, 3)), 8)
-        parts = (seq.m, seq.B, seq.samples, seq.stream, seq.nbits)
-        m, B, samples, stream, nbits = parts
+    def test_decoder_rejects_misfits(self):
+        vals = list(range(0, 300, 3))
+        parts = delta_parts(_delta_bytes(vals, 8))
+        m, B, nbits, samples, stream = parts
         for bad in [
-            (m, 0, samples, stream, nbits),                # block below 1
-            (m + 8, B, samples, stream, nbits),            # too few anchors
-            (m, B, samples[:-1], stream, nbits),
-            (m, B, samples[::-1], stream, nbits),          # not increasing
+            (m, 0, nbits, samples, stream),                # block below 1
+            (m, 4, nbits, samples, stream),                # not the header's
+            (m + 8, B, nbits, samples, stream),            # too few anchors
+            (m, B, nbits, samples[:-1], stream),
+            (m, B, nbits, samples[::-1], stream),          # not increasing
             # anchors increase, but block 0 (0 .. 21) reaches the next one
-            (m, B, samples[:1] + [21] + samples[2:], stream, nbits),
-            (m, B, [0] * len(samples), stream, nbits),
-            (m, B, samples, stream + b"\x00", nbits),     # length mismatch
-            (m, B, samples, stream[:-1], nbits),
-            (m, B, samples, stream[:-1], nbits - 8),       # codes past nbits
-            (m, B, samples, stream, nbits - 1),
-            (m, B, samples, bytes(len(stream)), nbits),    # no codes at all
-            (m + 1, B, samples, stream, nbits),            # codes run out
+            (m, B, nbits, samples[:1] + [21] + samples[2:], stream),
+            (m, B, nbits, [0] * len(samples), stream),
+            (m, B, nbits, samples, stream + b"\x00"),     # length mismatch
+            (m, B, nbits, samples, stream[:-1]),
+            (m, B, nbits - 8, samples, stream[:-1]),       # codes past nbits
+            (m, B, nbits - 1, samples, stream),
+            (m, B, nbits, samples, bytes(len(stream))),    # no codes at all
+            (m + 1, B, nbits, samples, stream),            # codes run out
         ]:
             with pytest.raises(ValueError):
-                BlockedDeltaSeq.from_parts(*bad)
-        assert BlockedDeltaSeq.from_parts(*parts).to_list() == seq.to_list()
+                _delta_from(delta_blob(*bad), 8)
+        assert _delta_from(delta_blob(*parts), 8) == vals
+        # the same values at B = 4 decode only against a header B of 4
+        blob = _delta_bytes(vals, 4)
+        assert _delta_from(blob, 4) == vals
+        with pytest.raises(ValueError):
+            _delta_from(blob, 8)
 
     @pytest.mark.parametrize("m", [1_000, 100_000])
-    def test_codes_per_access_at_most_block(self, m, long_seq, monkeypatch):
-        # access and pred decode at most B - 1 codes, whatever m is
-        vals = long_seq[:m]
-        seq = BlockedDeltaSeq(vals, 64)
-        calls = []
-        read = succinct.delta_read
+    def test_decode_reads_each_code_once(self, m, long_seq, monkeypatch):
+        # gaps capped so that the anchors fit packed ints of 255 bits
+        vals = list(accumulate((min(b - a, 1 << 40) for a, b in
+                                zip(long_seq, long_seq[1:m])), initial=0))
+        blob = _delta_bytes(vals, 64)
+        calls = counting_reads(monkeypatch)
+        assert _delta_from(blob, 64) == vals
+        assert len(calls) == m - -(-m // 64)
+        assert all(a < b for a, b in zip(calls, calls[1:]))
 
-        def counted(buf, pos):
-            calls.append(pos)
-            return read(buf, pos)
+    def test_load_reads_each_code_once(self, monkeypatch):
+        data = b"abracadabra" * 20 + b"cadabra" * 7
+        blob = toolkit.build_index(data, "r-csa", block=4).serialize()
+        ix = toolkit.load_index(blob).ix
+        sizes = [len(seq.values) for seq in ix.runs.heads.values()]
+        want = sum(m - -(-m // 4) for m in sizes)
+        calls = counting_reads(monkeypatch)
+        toolkit.load_index(blob)
+        assert want > 0 and len(calls) == 2 * want   # heads and tails
 
-        monkeypatch.setattr(succinct, "delta_read", counted)
-        rng = random.Random(m)
-        most = 0
-        for i in rng.sample(range(1, m + 1), 300) + [1, 64, 65, 128, m]:
-            calls.clear()
-            assert seq.access(i) == vals[i - 1]
-            assert len(calls) <= seq.B - 1
-            most = max(most, len(calls))
-        for x in [-1, 0, vals[-1], vals[-1] + 1] + [
-                rng.randrange(vals[-1]) for _ in range(300)]:
-            calls.clear()
-            k = bisect_right(vals, x)
-            assert seq.pred(x) == ((vals[k - 1], k) if k else None)
-            assert len(calls) <= seq.B - 1
-        assert most == seq.B - 1
+    @pytest.mark.parametrize("kind,s,variant", [
+        ("r-csa", None, 0), ("sr-csa", 4, 0), ("sr-csa", 4, 1),
+        ("sr-csa", 4, 2)])
+    def test_queries_read_no_code(self, kind, s, variant, monkeypatch):
+        rng = random.Random(13)
+        data = random_text(rng, 300, 4)
+        bi = toolkit.load_index(toolkit.build_index(
+            data, kind, s=s, variant=variant, block=4).serialize())
+        calls = counting_reads(monkeypatch)
+        for pat in sample_patterns(rng, data, 30):
+            want = naive_occurrences(data, pat)
+            assert bi.count(pat) == len(want)
+            assert sorted(bi.locate(pat)) == want
+        assert calls == []
 
     def test_zero_first_value(self):
-        seq = BlockedDeltaSeq([0, 1, 5], 8)
-        assert seq.to_list() == [0, 1, 5]
+        assert _delta_from(_delta_bytes([0, 1, 5], 8), 8) == [0, 1, 5]
+        seq = BlockedDeltaSeq([0, 1, 5], 5)
+        assert list(seq.values) == [0, 1, 5]
         assert seq.pred(0) == (0, 1)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex import envelope, toolkit
-from srindex.succinct import BlockedDeltaSeq, DenseBitvector, delta_append
+from srindex.succinct import DenseBitvector, delta_append
 from srindex.textcore import ingest, oracle_search
 
 ALL_BUILDS = [
@@ -124,16 +124,48 @@ def delta_payload(fields):
     return out
 
 
-def raise_last_head(ix):
-    """Symbol 2's Psi-run heads [1, 12, 27] become [1, 12, 10**6]."""
-    heads = ix.runs.heads[2].to_list()
-    assert heads == [1, 12, 27]
-    ix.runs.heads[2] = BlockedDeltaSeq(heads[:-1] + [10**6], 4)
+def gap_codes(*gaps):
+    """[bit count, stream bytes] of the Elias-delta codes of gaps."""
+    stream = nbits = 0
+    for g in gaps:
+        stream, nbits = delta_append(stream, nbits, g)
+    return [nbits, stream.to_bytes((nbits + 7) // 8, "little")]
 
 
-def swap_i_psi(ix):
-    i_psi = ix.runs.i_psi
+def on_bytes(edit):
+    """Mark edit as a mutation of the envelope bytes, for sections the
+    index derives when it is written: edit(blob) returns the new blob."""
+    edit.on_bytes = True
+    return edit
+
+
+def raise_last_head(value):
+    """Symbol 2's Psi-run heads [1, 12, 27] become [1, 12, value]."""
+    @on_bytes
+    def edit(blob):
+        fields = delta_fields(envelope._open(blob)[2]["psi_heads"])
+        m, B, nbits, anchors, stream = fields[1]
+        assert (m, B, anchors, [nbits, stream]) == (3, 4, [1],
+                                                    gap_codes(11, 15))
+        fields[1][2], fields[1][4] = gap_codes(11, value - 12)
+        return reseal(blob, "psi_heads", delta_payload(fields))
+    return edit
+
+
+@on_bytes
+def raise_d_tail(blob):
+    """The one Psi-run tail of symbol 5 (d) goes from 11 to 12."""
+    fields = delta_fields(envelope._open(blob)[2]["psi_tails"])
+    assert fields[4] == [1, 4, 0, [11], b""]
+    fields[4][3] = [12]
+    return reseal(blob, "psi_tails", delta_payload(fields))
+
+
+@on_bytes
+def swap_i_psi(blob):
+    i_psi = envelope.unpack_ints(envelope._open(blob)[2]["i_psi"])
     i_psi[1], i_psi[2] = i_psi[2], i_psi[1]
+    return reseal(blob, "i_psi", envelope.pack_ints(i_psi))
 
 
 # one Elias-delta code: (bits as an int, bit count)
@@ -216,11 +248,15 @@ class TestEnvelope:
         ("sr-csa", 4, 2, lambda ix: ix.samples_sub.__setitem__(
             -1, ix.n + 10**6), "outside"),
         # Psi-run values: loaded, these made count(b"a") return 5 and 24,
-        # not 25
-        ("r-csa", None, 0, raise_last_head, "psi run values"),
-        ("sr-csa", 4, 1, raise_last_head, "psi run values"),
+        # not 25, and the raised tail count(b"d") 6, not 5; a head of 2**33
+        # does not fit the array a text of n < 2**32 holds heads in
+        ("r-csa", None, 0, raise_last_head(10**6), "psi run values"),
+        ("sr-csa", 4, 1, raise_last_head(10**6), "psi run values"),
+        ("r-csa", None, 0, raise_last_head(2**33), "psi run values"),
         ("r-csa", None, 0, swap_i_psi, "i_psi"),
         ("sr-csa", 4, 0, swap_i_psi, "i_psi"),
+        ("r-csa", None, 0, raise_d_tail, "tails"),
+        ("sr-csa", 4, 2, raise_d_tail, "tails"),
     ], ids=["r-csa-map-range", "r-csa-map-short", "r-index-map-range",
             "sr-index-map-zero", "sr-csa-map-range", "sr-index-valid-len",
             "sr-csa-area-len", "dense-words", "dense-past-n",
@@ -228,15 +264,20 @@ class TestEnvelope:
             "sr-index-sa-shifted", "sr-index-sa-n", "sr-index-last-high",
             "sr-index-last-zero", "r-csa-sa-high", "r-csa-sa-zero",
             "sr-csa-sa-zero", "sr-csa-sa-high", "r-csa-head-past-n",
-            "sr-csa-head-past-n", "r-csa-i_psi-swapped",
-            "sr-csa-i_psi-swapped"])
+            "sr-csa-head-past-n", "r-csa-head-2to33", "r-csa-i_psi-swapped",
+            "sr-csa-i_psi-swapped", "r-csa-tail-raised",
+            "sr-csa-tail-raised"])
     def test_crafted_tables_rejected(self, kind, s, variant, mutate, match):
         # CRC-valid envelopes whose tables would send locate out of range
         bi = toolkit.build_index(b"abracadabra" * 5, kind, s=s,
                                  variant=variant, block=4)
-        mutate(bi.ix)
+        if getattr(mutate, "on_bytes", False):
+            blob = mutate(bi.serialize())
+        else:
+            mutate(bi.ix)
+            blob = bi.serialize()
         with pytest.raises(envelope.FormatError, match=match):
-            toolkit.load_index(bi.serialize())
+            toolkit.load_index(blob)
 
     @pytest.mark.parametrize("kind,section,c,change", [
         ("r-csa", "psi_heads", 2, {4: b"\x00\x00"}),     # codes zeroed
@@ -256,10 +297,15 @@ class TestEnvelope:
                                    4: GAP_30[0].to_bytes(2, "little")}),
         ("sr-csa", "psi_heads", 2, {1: 2, 2: GAP_30[1], 3: [1, 27],
                                     4: GAP_30[0].to_bytes(2, "little")}),
+        # the same heads, well coded at B = 2, while the header says 4:
+        # loaded, they would be written back at B = 4
+        ("r-csa", "psi_heads", 2, {1: 2, 2: gap_codes(11)[0], 3: [1, 27],
+                                   4: gap_codes(11)[1]}),
     ], ids=["zeroed", "cut-short", "codes-run-out", "past-nbits", "block-0",
             "few-anchors", "many-anchors", "anchors-decrease", "long-stream",
             "sr-csa-tails-zeroed", "tails-fewer-than-heads",
-            "r-csa-gap-past-anchor", "sr-csa-gap-past-anchor"])
+            "r-csa-gap-past-anchor", "sr-csa-gap-past-anchor",
+            "block-not-header"])
     def test_crafted_delta_stream_rejected(self, kind, section, c, change):
         # CRC-valid envelopes whose delta stream does not fit its m and B;
         # a stream with too few codes used to make the loader spin forever
@@ -274,6 +320,24 @@ class TestEnvelope:
             fields[c - 1][i] = value
         bad = reseal(blob, section, delta_payload(fields))
         with time_limit(10), pytest.raises(envelope.FormatError):
+            toolkit.load_index(bad)
+
+    @pytest.mark.parametrize("section,at", [
+        ("alphabet", 0),
+        ("psi_heads", 36),   # symbol 1's anchors, past its length, m, B, nbits
+        ("marks_l", 17),     # the Elias-Fano lows, past n, ones, low_bits
+    ])
+    def test_crafted_int_count_rejected(self, section, at):
+        # a packed-int count of 2**40 in a section of a few bytes used to
+        # decode that many zeros, hanging the loader or filling memory
+        blob = toolkit.build_index(b"abracadabra" * 5, "r-csa",
+                                   block=4).serialize()
+        payload = envelope._open(blob)[2][section]
+        assert envelope._ints_at(payload, at)[1] <= len(payload)
+        bad = reseal(blob, section, payload[:at + 1]
+                     + struct.pack("<Q", 2**40) + payload[at + 9:])
+        with time_limit(10), pytest.raises(envelope.FormatError,
+                                           match="past their section"):
             toolkit.load_index(bad)
 
     def test_locating_counting_split(self):
