@@ -10,14 +10,18 @@ the run-length BWT and Psi-run groups shared. serialize and deserialize
 only walk it. Sparse bitvectors are Elias-Fano coded here, and the Psi-run
 heads and tails blocked Elias-delta coded, and only here. Rank
 directories and derived tables are rebuilt on load; the load path checks
-the checksum, that the sections are exactly the ones the table names for
-the kind and variant, the invariants in CHECKS, and the ones the
-constructors check (a Psi run's tail against its head and length).
+the checksum, that the header fits the kind, that the sections are
+exactly the ones the table names for the kind and variant and tile the
+body, that each codec reads its whole section and finds the bytes its
+encoder would write, the invariants in CHECKS, and the ones the
+constructors check (a Psi run's tail against its head and length). So an
+index has exactly one envelope.
 """
 
 import struct
 import zlib
 from bisect import bisect_right
+from itertools import accumulate
 
 from .rcsa import PsiRuns, RCsa
 from .rindex import RIndex
@@ -39,30 +43,43 @@ def pack_ints(values):
     """Fixed-width bit packing; returns bytes (width, count, payload)."""
     width = max((v.bit_length() for v in values), default=0)
     width = max(width, 1)
-    acc = 0
-    pos = 0
-    for v in values:
-        acc |= v << pos
-        pos += width
-    payload = acc.to_bytes((pos + 7) // 8, "little")
+    fmt = f"0{width}b"
+    # one join and one base-2 parse, linear in the payload; OR-ing each
+    # value into one growing int would copy the int once per value
+    bits = "".join(format(v, fmt) for v in reversed(values))
+    payload = int("0" + bits, 2).to_bytes((len(bits) + 7) // 8, "little")
     return struct.pack("<BQ", width, len(values)) + payload
 
 
 def unpack_ints(blob):
-    return _ints_at(blob, 0)[0]
+    values, end = _ints_at(blob, 0)
+    if end != len(blob):
+        raise ValueError("packed ints do not end at their section's end")
+    return values
 
 
 def _ints_at(blob, off):
-    """pack_ints payload at offset off -> (values, offset after it)."""
+    """pack_ints payload at offset off -> (values, offset after it). Raises
+    ValueError on a count the bytes cannot hold, and on bytes pack_ints
+    would not write: stray bits past the last value, or a width wider
+    than the largest value needs."""
     width, count = struct.unpack_from("<BQ", blob, off)
-    end = off + 9 + (width * count + 7) // 8
+    nbits = width * count
+    end = off + 9 + (nbits + 7) // 8
     if not width or end > len(blob):
         # a count the bytes cannot hold would decode as zeros, slowly
         raise ValueError(f"{count} packed ints of {width} bits run past "
                          "their section")
     acc = int.from_bytes(blob[off + 9:end], "little")
-    mask = (1 << width) - 1
-    return [(acc >> (i * width)) & mask for i in range(count)], end
+    if acc >> nbits:
+        raise ValueError("packed ints have stray bits past their last value")
+    # value i is bits [i * width, (i + 1) * width) of acc, so it counts
+    # back from the end of acc's base-2 string
+    bits = format(acc, f"0{nbits}b")
+    values = [int(bits[j - width:j], 2) for j in range(nbits, 0, -width)]
+    if width != max(max(values, default=0).bit_length(), 1):
+        raise ValueError("packed ints are wider than their largest value")
+    return values, end
 
 
 def _dense_bytes(bv):
@@ -87,9 +104,8 @@ def _sparse_bytes(bv):
     minus one as packed ints, then the rest of it in unary, as a dense
     bitvector where the k-th one (from 0) sits at bit high_k + k."""
     n, ones = bv.n, bv.ones
-    low_bits = max(0, (n // ones).bit_length() - 1) if ones else 0
+    low_bits, high_n = _ef_shape(n, ones)
     mask = (1 << low_bits) - 1
-    high_n = ones + ((n - 1) >> low_bits if n else 0)
     high = bytearray(8 * -(-high_n // WORD))  # 64-bit little-endian words
     for k, p in enumerate(bv.positions):
         i = ((p - 1) >> low_bits) + k
@@ -99,11 +115,22 @@ def _sparse_bytes(bv):
             + struct.pack("<Q", high_n) + bytes(high))
 
 
+def _ef_shape(n, ones):
+    """Elias-Fano (low_bits, high_n) of ones positions within 1..n: the
+    bits kept per low part and the bit count of the high part."""
+    low_bits = max(0, (n // ones).bit_length() - 1) if ones else 0
+    return low_bits, ones + ((n - 1) >> low_bits if n else 0)
+
+
 def _sparse_from(blob):
     """Decode _sparse_bytes in one pass over the high words."""
     n, ones, low_bits = struct.unpack_from("<QQB", blob, 0)
     lows, off = _ints_at(blob, 17)
+    (high_n,) = struct.unpack_from("<Q", blob, off)
     high = blob[off + 8:]
+    if ((low_bits, high_n) != _ef_shape(n, ones)
+            or len(high) != 8 * -(-high_n // WORD)):
+        raise FormatError("sparse bitvector parts do not fit its length")
     if len(lows) != ones or int.from_bytes(high, "little").bit_count() != ones:
         raise FormatError("sparse bitvector cardinality mismatch")
     positions = []
@@ -155,7 +182,8 @@ def _delta_from(blob, block):
     stream = bytes(blob[off:])
     if len(anchors) != -(-m // B):
         raise ValueError("delta anchors do not match length and block")
-    if len(stream) != (nbits + 7) // 8:
+    if (len(stream) != (nbits + 7) // 8
+            or int.from_bytes(stream, "little") >> nbits):
         raise ValueError("delta stream length does not match its bits")
     read = succinct.delta_read        # looked up where a tracer wraps it
     values = []
@@ -196,6 +224,8 @@ def _deltas_from(blob, head):
         off += 8
         out[c] = _delta_from(blob[off:off + ln], head["block"])
         off += ln
+    if off != len(blob):
+        raise ValueError("delta streams do not end at their section's end")
     return out
 
 
@@ -411,7 +441,11 @@ def read_params(data):
 
 
 def _open(data):
-    """Checked envelope bytes -> (kind, header fields, {section: bytes})."""
+    """Checked envelope bytes -> (kind, header fields, {section: bytes}).
+    Past the checksum and the header, the sections must be exactly the
+    ones the kind and variant store, listed in name order, and their
+    payloads must tile the body from its start to the checksum, as
+    serialize writes them."""
     if len(data) < 60:
         raise FormatError("truncated envelope")
     (crc,) = struct.unpack_from("<I", data, len(data) - 4)
@@ -419,39 +453,46 @@ def _open(data):
         raise FormatError("checksum mismatch")
     if data[:4] != MAGIC:
         raise FormatError("bad magic")
-    version, kind_id, variant, _, n, sigma, r, s, block, count = (
+    version, kind_id, variant, reserved, n, sigma, r, s, block, count = (
         struct.unpack_from("<IBBHQQQQQI", data, 4))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
     if kind_id >= len(KINDS):
         raise FormatError("unknown index kind")
+    kind = KINDS[kind_id]
     head = {"variant": variant, "n": n, "sigma": sigma, "r": r, "s": s,
             "block": block}
+    taken = {f for layer in FORMAT[kind] for f in layer[2]}
+    if reserved or variant > 2 or any(
+            f in taken and head[f] < 1 for f in ("s", "block")) or any(
+            head[f] for f in ("s", "block", "variant") if f not in taken):
+        raise FormatError(f"header parameters do not fit {kind}")
     body_off = 56 + 32 * count
-    sections = {}
-    for i in range(count):
-        nb, off, ln = struct.unpack_from("<16sQQ", data, 56 + 32 * i)
-        name = nb.rstrip(b"\x00").decode(errors="replace")
-        sections[name] = data[body_off + off:body_off + off + ln]
-    if len(sections) != count:
-        raise FormatError("duplicate section name")
-    return KINDS[kind_id], head, sections
+    if body_off > len(data) - 4:
+        raise FormatError("section table runs past the envelope")
+    table = [struct.unpack_from("<16sQQ", data, at)
+             for at in range(56, body_off, 32)]
+    names = [nb.rstrip(b"\x00").decode(errors="replace") for nb, _, _ in table]
+    want = ["alphabet"] + [name for layer in _rows(kind, variant)
+                           for name, _, _ in layer]
+    if sorted(names) != sorted(want):
+        raise FormatError(f"{kind} variant {variant} needs sections "
+                          f"{sorted(want)}, found {sorted(names)}")
+    ends = list(accumulate(ln for _, _, ln in table))
+    if (names != sorted(names)
+            or [off for _, off, _ in table] != [0] + ends[:-1]
+            or body_off + ends[-1] != len(data) - 4):
+        raise FormatError("section payloads do not tile the body in name "
+                          "order")
+    return kind, head, {name: data[body_off + off:body_off + off + ln]
+                        for name, (_, off, ln) in zip(names, table)}
 
 
 def deserialize(data):
     """Envelope bytes -> (index object, kind, alphabet)."""
     kind, head, blobs = _open(data)
     layers = FORMAT[kind]
-    taken = {f for layer in layers for f in layer[2]}
-    if head["variant"] > 2 or any(
-            f in taken and head[f] < 1 for f in ("s", "block")) or any(
-            head[f] for f in ("s", "block", "variant") if f not in taken):
-        raise FormatError(f"header parameters do not fit {kind}")
     rows = _rows(kind, head["variant"])
-    want = ["alphabet"] + [name for layer in rows for name, _, _ in layer]
-    if sorted(blobs) != sorted(want):
-        raise FormatError(f"{kind} variant {head['variant']} needs sections "
-                          f"{sorted(want)}, found {sorted(blobs)}")
     values = {}
     for name, _, (_, decode) in [("alphabet", None, INTS)] + sum(rows, []):
         try:

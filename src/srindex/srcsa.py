@@ -13,7 +13,9 @@ dropped.
 
 Variants mirror the BWT side: variant 1 keeps a validity bit per
 surviving mark gap (removed marks below the mark), variant 2 adds the
-distance from the mark down to the nearest removed one.
+distance from the mark down to the nearest removed one. iphi checks that
+data on the gap its own successor search found and returns None for a
+step it cannot vouch for.
 """
 
 from .srindex import Subsampled, subsample
@@ -42,40 +44,28 @@ class SrCsa(Subsampled):
     def _direction(self):
         runs = self.runs
         return (runs, self.sa_first, runs.psi, runs.run_start, runs.run_end,
-                self.iphi, self._iphi_safe)
+                self.iphi)
 
     # -- iphi on the surviving marks --------------------------------------
 
-    def iphi(self, i):
-        k = self.marks_l.rank1(i - 1) + 1
-        if k <= self.marks_l.ones:
-            succ = self.marks_l.positions[k - 1]
+    def iphi(self, i, check=False):
+        """SA[j+1] for i = SA[j], from i's successor mark; with check, None
+        unless the validity data show no removed mark between them."""
+        marks = self.marks_l
+        k = marks.rank1(i - 1) + 1
+        if k <= marks.ones:
+            succ = marks.positions[k - 1]
         else:
             k = 1
-            succ = self.marks_l.positions[0] + self.n
-        slot = self.mark_map[k - 1]
-        return self.samples_sub[slot - 1] - (succ - i)
+            succ = marks.positions[0] + self.n
+        if check and not self.valid.get(k) and (
+                self.variant == 1
+                or succ - i >= self.valid_area[self.valid.rank0(k) - 1]):
+            return None
+        return self.samples_sub[self.mark_map[k - 1] - 1] - (succ - i)
 
-    def _iphi_safe(self, i):
-        """True when no removed mark lies between i and its successor."""
-        k = self.marks_l.rank1(i - 1) + 1
-        if k <= self.marks_l.ones:
-            succ = self.marks_l.positions[k - 1]
-            gap = k
-        else:
-            gap = 1
-            succ = self.marks_l.positions[0] + self.n
-        if self.valid.get(gap):
-            return True
-        if self.variant == 1:
-            return False
-        d = self.valid_area[self.valid.rank0(gap) - 1]
-        return i > succ - d
-
-    # -- queries -----------------------------------------------------------
-
-    def locate(self, syms, sort=False, counters=None):
-        return self._locate(syms, sort, counters)
+    # own name: the benchmark's tracer replaces locate in the class __dict__
+    locate = Subsampled.locate
 
 
 def build_srcsa(bundle, s, variant=0, block=DEFAULT_BLOCK):

@@ -1,6 +1,9 @@
 """Property-based oracle tests on adversarial texts: every kind, and the
 subsampled kinds at s = 1, 2 and n with variants 0, 1 and 2, must count
-and locate exactly what the naive scan finds."""
+and locate exactly what the naive scan finds, and a subsampled index's
+checked phi (iphi) must answer as the full index's or not at all."""
+
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -69,3 +72,35 @@ def test_every_kind_matches_oracle(data, block, draws):
             if label != "rlbwt":
                 got = [] if syms is None else sorted(ix.locate(syms))
                 assert got == want, (label, pat)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(data=TEXTS)
+def test_checked_phi_is_full_phi_or_none(data):
+    # phi(i, True) (iphi on the Psi side) either returns the full index's
+    # answer or None; at variant 2 it is None exactly when the full
+    # index's nearest mark to i, on the side phi reads it from, was
+    # removed; variant 1 gives up wherever variant 2 does
+    bundle = build_bundle(ingest(data))
+    ri = build_rindex(bundle)
+    rc = build_rcsa(bundle, 4)
+    sides = [
+        # (full index, subsample, phi's name, its marks' name, SA value ->
+        #  phi's argument, stored mark nearest that argument)
+        (ri, subsample_rindex, "phi", "marks", lambda v: v - 1,
+         lambda marks, i: marks[bisect_right(marks, i + 1) - 1]),
+        (rc, subsample_rcsa, "iphi", "marks_l", lambda v: v,
+         lambda marks, i: marks[bisect_left(marks, i) % len(marks)]),
+    ]
+    for full, sub, phi, marks, arg, nearest in sides:
+        full_marks = getattr(full, marks).positions
+        for s in (2, 3, 4, 8):
+            ix = {v: sub(full, s, v) for v in (1, 2)}
+            kept = set(getattr(ix[2], marks).positions)
+            for i in map(arg, bundle.sa):
+                want = getattr(full, phi)(i)
+                got = {v: getattr(ix[v], phi)(i, True) for v in (1, 2)}
+                assert got[1] in (None, want) and got[2] in (None, want)
+                removed = nearest(full_marks, i) not in kept
+                assert (got[2] is None) == removed, (phi, s, i)
+                assert got[2] is not None or got[1] is None, (phi, s, i)

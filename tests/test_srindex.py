@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
+from srindex import toolkit
 from srindex.rindex import build_rindex
 from srindex.srindex import (QueryCounters, build_srindex, subsample,
                              subsample_rindex)
@@ -183,3 +184,35 @@ class TestBuild:
         pat = data[3:7]
         assert sorted(si.locate(t.map_pattern(pat))) == \
             naive_occurrences(data, pat)
+
+
+@pytest.mark.parametrize("kind,phi,marks", [("sr-index", "phi", "marks"),
+                                            ("sr-csa", "iphi", "marks_l")])
+@pytest.mark.parametrize("variant", [1, 2])
+def test_reused_step_costs_one_mark_rank(kind, phi, marks, variant):
+    # the locate core asks phi (iphi on the Psi side) once per step it
+    # may reuse, and phi checks its safety on the gap its own mark search
+    # found: one rank on the marks per phi call, reused steps included
+    data = toolkit.gen_corpus(2_000, 4, 0.01, seed=3)
+    bi = toolkit.build_index(data, kind, s=4, variant=variant, block=4)
+    calls = {"rank1": 0, "phi": 0, "reused": 0}
+    bv, step = getattr(bi.ix, marks), getattr(bi.ix, phi)
+    rank1 = bv.rank1
+
+    def counted_rank1(i):
+        calls["rank1"] += 1
+        return rank1(i)
+
+    def counted_phi(*args):
+        calls["phi"] += 1
+        out = step(*args)
+        calls["reused"] += len(args) > 1 and out is not None
+        return out
+
+    bv.rank1 = counted_rank1
+    setattr(bi.ix, phi, counted_phi)
+    for i in range(0, len(data) - 8, 61):
+        pat = data[i:i + 8]
+        assert sorted(bi.locate(pat)) == naive_occurrences(data, pat)
+    assert calls["rank1"] == calls["phi"]
+    assert calls["reused"]

@@ -168,6 +168,104 @@ def swap_i_psi(blob):
     return reseal(blob, "i_psi", envelope.pack_ints(i_psi))
 
 
+def relayout(blob, table, body):
+    """blob's header with the section table [(name, offset, length)] and
+    the body replaced, and its checksum rewritten to match."""
+    data = blob[:52] + struct.pack("<I", len(table)) + b"".join(
+        struct.pack("<16sQQ", name.encode(), off, ln)
+        for name, off, ln in table) + body
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
+def or_fold_pack(values, width=None):
+    """pack_ints by OR-ing each value into one growing int: quadratic in
+    the count, but plainly right, so the reference for pack_ints."""
+    if width is None:
+        width = max(max((v.bit_length() for v in values), default=0), 1)
+    acc = pos = 0
+    for v in values:
+        acc |= v << pos
+        pos += width
+    return (struct.pack("<BQ", width, len(values))
+            + acc.to_bytes((pos + 7) // 8, "little"))
+
+
+def ef_payload(positions, n, low_bits, high_n_off=0):
+    """The Elias-Fano payload of a sparse bitvector at the given low_bits,
+    its high_n field off by high_n_off from the bits it holds."""
+    high_n = len(positions) + ((n - 1) >> low_bits)
+    high = 0
+    for k, p in enumerate(positions):
+        high |= 1 << (((p - 1) >> low_bits) + k)
+    mask = (1 << low_bits) - 1
+    return (struct.pack("<QQB", n, len(positions), low_bits)
+            + envelope.pack_ints([(p - 1) & mask for p in positions])
+            + struct.pack("<Q", high_n + high_n_off)
+            + high.to_bytes(8 * -(-high_n // 64), "little"))
+
+
+def on_section(name, edit):
+    """A blob mutation that replaces section name's payload p by edit(p)."""
+    return lambda blob: reseal(blob, name,
+                               edit(envelope._open(blob)[2][name]))
+
+
+def start_low_bits(change, high_n_off=0):
+    """The r-index's run starts re-coded at their low_bits plus change."""
+    def edit(payload):
+        bv = envelope._sparse_from(payload)
+        low_bits = payload[16]
+        assert ef_payload(bv.positions, bv.n, low_bits) == payload
+        return ef_payload(bv.positions, bv.n, low_bits + change, high_n_off)
+    return on_section("start", edit)
+
+
+def heads_stray_bit(payload):
+    """The first head stream that ends inside a byte gains a one past its
+    last code."""
+    fields = delta_fields(payload)
+    f = next(f for f in fields if f[2] % 8)
+    stream = bytearray(f[4])
+    stream[-1] |= 1 << f[2] % 8
+    f[4] = bytes(stream)
+    return delta_payload(fields)
+
+
+def resealed(data):
+    """data with its checksum rewritten to match."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
+
+
+def layout_edits(blob):
+    """(what, envelope) pairs: blob's sections laid out as serialize would
+    not lay them out, every payload still intact."""
+    payloads = envelope._open(blob)[2]
+    names = sorted(payloads)
+
+    def laid(order, gap_at=None, stretch=0):
+        # sections in order, a junk byte before the gap_at-th one, and the
+        # first one's length stretched over the next stretch sections
+        table, body = [], b""
+        for i, name in enumerate(order):
+            if i == gap_at:
+                body += b"\x07"
+            table.append([name, len(body), len(payloads[name])])
+            body += payloads[name]
+        if gap_at == len(order):
+            body += b"\x07"
+        table[0][2] += sum(ln for _, _, ln in table[1:1 + stretch])
+        return relayout(blob, table, body)
+
+    assert laid(names) == blob
+    for name in names:
+        yield f"appended to {name}", reseal(blob, name,
+                                            payloads[name] + b"\x07")
+    for i in range(1, len(names) + 1):
+        yield f"inserted before section {i}", laid(names, gap_at=i)
+    yield "overlapping", laid(names, stretch=1)
+    yield "reordered", laid(names[1:2] + names[:1] + names[2:])
+
+
 # one Elias-delta code: (bits as an int, bit count)
 GAP_30 = delta_append(0, 0, 30)
 
@@ -339,6 +437,57 @@ class TestEnvelope:
         with time_limit(10), pytest.raises(envelope.FormatError,
                                            match="past their section"):
             toolkit.load_index(bad)
+
+    @pytest.mark.parametrize("kind", toolkit.KINDS)
+    def test_one_envelope_per_index(self, kind):
+        # CRC-valid envelopes that lay out a good index's sections in any
+        # way but serialize's: appended, inserted or overlapping bytes, or
+        # a reordered table, used to load and serialize to other bytes
+        bi = toolkit.build_index(b"abracadabra" * 5, kind,
+                                 s=4 if kind.startswith("sr") else None,
+                                 variant=2 if kind.startswith("sr") else 0,
+                                 block=4)
+        blob = bi.serialize()
+        for what, bad in layout_edits(blob):
+            with pytest.raises(envelope.FormatError):
+                toolkit.load_index(bad)
+                pytest.fail(f"{what}: loaded")
+
+    @pytest.mark.parametrize("kind,edit,match", [
+        ("r-index", lambda blob: resealed(blob[:10] + b"\x01" + blob[11:]),
+         "header"),
+        ("r-index", lambda blob: resealed(
+            blob[:52] + struct.pack("<I", 10**6) + blob[56:]),
+         "section table"),
+        ("r-index", on_section("alphabet", lambda p: p[:-1]
+                               + bytes([p[-1] | 0x80])), "stray bits"),
+        ("r-csa", on_section("i_psi", lambda p: or_fold_pack(
+            envelope.unpack_ints(p), p[0] + 1)), "wider"),
+        ("r-index", start_low_bits(-1), "parts do not fit"),
+        ("r-index", start_low_bits(0, high_n_off=1), "parts do not fit"),
+        ("r-csa", on_section("psi_heads", heads_stray_bit), "its bits"),
+    ], ids=["header-reserved", "table-past-end", "ints-stray-bit",
+            "ints-too-wide", "sparse-low-bits", "sparse-high-n",
+            "delta-stray-bit"])
+    def test_bytes_no_encoder_writes_rejected(self, kind, edit, match):
+        # the same index in bytes its encoder would never write: loaded,
+        # it would serialize to other bytes
+        blob = toolkit.build_index(b"abracadabra" * 20, kind,
+                                   block=4).serialize()
+        with pytest.raises(envelope.FormatError, match=match):
+            toolkit.load_index(edit(blob))
+
+    def test_packed_ints_match_or_fold(self):
+        rng = random.Random(64)
+        for width in range(1, 71):
+            for count in (0, 1, 2, 7, 8, 9, 63, 64, 65, rng.randrange(2001),
+                          2000):
+                values = [rng.getrandbits(width) for _ in range(count)]
+                if values:
+                    values[rng.randrange(count)] |= 1 << (width - 1)
+                blob = envelope.pack_ints(values)
+                assert blob == or_fold_pack(values), (width, count)
+                assert envelope.unpack_ints(blob) == values, (width, count)
 
     def test_locating_counting_split(self):
         blob = toolkit.build_index(b"abracadabra" * 30, "sr-index",
