@@ -320,6 +320,13 @@ def _runs_per_symbol(v, h):
         for name in ("psi_heads", "psi_tails"))
 
 
+def _spans_text(marks):
+    """Check row: the sparse bitvector marks ranges over the header's n
+    text positions, so no mark lies past the text."""
+    return ((marks,), lambda v, h: v[marks].n == h["n"],
+            f"{marks} does not match header")
+
+
 def _sa_values(table, shift, *kind):
     """Check row: table holds SA values minus shift, each within the text;
     kind names a section that tells which index the table belongs to."""
@@ -337,6 +344,9 @@ CHECKS = [
     (("start", "letters"), lambda v, h: v["start"].n == h["n"]
      and v["start"].ones == len(v["letters"]) == h["r"],
      "run table does not match header"),
+    _spans_text("first"),
+    _spans_text("marks"),
+    _spans_text("marks_l"),
     (("letters",), lambda v, h: all(1 <= c <= h["sigma"]
                                     for c in v["letters"]),
      "letters exceed declared alphabet"),

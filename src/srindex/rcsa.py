@@ -14,7 +14,9 @@ no sample removed and locates through srindex.Subsampled; f_sa, format
 v1's name for the head samples, is its sample table.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+
+import numpy as np
 
 from .rlbwt import BackwardSearch
 from .srcsa import SrCsa
@@ -139,44 +141,32 @@ def build_psi_runs(bundle, block=DEFAULT_BLOCK):
     n = bundle.n
     sigma = bundle.text.sigma
     psi = bundle.psi
-    counts = [0] * (sigma + 1)
-    for c in bundle.text.symbols:
-        counts[c] += 1
-    C = [0] * (sigma + 2)
-    for c in range(1, sigma + 1):
-        C[c + 1] = C[c] + counts[c]
-    boundaries = set(C[c] + 1 for c in range(2, sigma + 1))
-    i_psi = [1]
-    head_vals = [psi[0]]
-    tail_vals = []
-    for i in range(2, n + 1):
-        if i in boundaries or psi[i - 1] != psi[i - 2] + 1:
-            tail_vals.append(psi[i - 2])
-            i_psi.append(i)
-            head_vals.append(psi[i - 1])
-    tail_vals.append(psi[n - 1])
-    heads = {c: [] for c in range(1, sigma + 1)}
-    tails = {c: [] for c in range(1, sigma + 1)}
-    for pos, h, t in zip(i_psi, head_vals, tail_vals):
-        c = bisect_left(C, pos) - 1
-        heads[c].append(h)
-        tails[c].append(t)
-    return PsiRuns(n, sigma, C, i_psi, heads, tails, block)
+    # C[c] = number of symbols smaller than c; the bwt holds every symbol
+    counts = np.bincount(bundle.bwt, minlength=sigma + 1)
+    C = np.concatenate(([0, 0], np.cumsum(counts[1:])))
+    # a run breaks where Psi does not go up by one, and at each C boundary
+    brk = psi[1:] != psi[:-1] + 1
+    brk[C[2:sigma + 1] - 1] = True
+    i_psi = np.concatenate(([1], np.flatnonzero(brk) + 2))
+    heads = psi[i_psi - 1].tolist()
+    tails = psi[np.append(i_psi[1:] - 2, n - 1)].tolist()
+    # runs lie in symbol order: c's runs are those starting in C[c]+1..C[c+1]
+    cut = np.searchsorted(i_psi, C + 1).tolist()
+    return PsiRuns(n, sigma, C.tolist(), i_psi.tolist(),
+                   {c: heads[cut[c]:cut[c + 1]] for c in range(1, sigma + 1)},
+                   {c: tails[cut[c]:cut[c + 1]] for c in range(1, sigma + 1)},
+                   block)
 
 
 def build_rcsa(bundle, block=DEFAULT_BLOCK):
     runs = build_psi_runs(bundle, block)
     sa = bundle.sa
-    r = runs.r
-    f_sa = [sa[runs.i_psi[q] - 1] for q in range(r)]
-    # tail of run q is marked with SA at that position, paired with the
-    # head sample of run q+1 (wrapping to run 1)
-    marks = []
-    for q in range(1, r + 1):
-        mval = sa[runs.run_end(q) - 1]
-        slot = q + 1 if q < r else 1
-        marks.append((mval, slot))
-    marks.sort()
-    marks_l = SparseBitvector([m for m, _ in marks], runs.n)
-    mark_map = [slot for _, slot in marks]
-    return RCsa(runs, f_sa, marks_l, mark_map)
+    i_psi = np.array(runs.i_psi, dtype=np.int64)
+    # the tail of run q is marked with SA there, paired with the head
+    # sample of run q+1 (wrapping to run 1)
+    marks = sa[np.append(i_psi[1:] - 1, runs.n) - 1]
+    order = np.argsort(marks, kind="stable")
+    slots = np.append(np.arange(2, runs.r + 1), 1)
+    return RCsa(runs, sa[i_psi - 1].tolist(),
+                SparseBitvector(marks[order].tolist(), runs.n),
+                slots[order].tolist())

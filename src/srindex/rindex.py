@@ -11,6 +11,8 @@ It keeps format v1's names for its tables: first (the marks), samples,
 and first_to_run (each mark's run), which is derived from mark_map.
 """
 
+import numpy as np
+
 from .srindex import SrIndex
 from .succinct import DenseBitvector, SparseBitvector
 
@@ -43,12 +45,11 @@ def build_rindex(bundle, rl=None):
     if rl is None:
         rl = build_rlbwt(bundle)
     sa = bundle.sa
-    starts = rl.start.positions
-    marks = []
-    for p, j in enumerate(starts, 1):
-        marks.append((sa[j - 1] - 1, p))
-    marks.sort()
-    first = SparseBitvector([m + 1 for m, _ in marks], rl.n)
-    first_to_run = [p for _, p in marks]
-    samples = [sa[rl.run_end(p) - 1] - 1 for p in range(1, rl.r + 1)]
-    return RIndex(rl, first, first_to_run, samples)
+    starts = np.array(rl.start.positions, dtype=np.int64)
+    ends = np.append(starts[1:] - 1, rl.n)
+    # run p's first position is marked with SA there minus one, stored + 1
+    marks = sa[starts - 1]
+    order = np.argsort(marks, kind="stable")
+    first = SparseBitvector(marks[order].tolist(), rl.n)
+    samples = (sa[ends - 1] - 1).tolist()
+    return RIndex(rl, first, (order + 1).tolist(), samples)

@@ -5,6 +5,8 @@ the run-head symbols with rank/select, per-symbol cumulative run lengths,
 and the C table. bwt positions, runs, and symbols are all 1-based.
 """
 
+import numpy as np
+
 from .succinct import SparseBitvector, SymbolSequence
 
 
@@ -133,8 +135,8 @@ class RunLengthBWT(BackwardSearch):
 
 def build_rlbwt(bundle):
     bwt = bundle.bwt
-    n = bundle.n
-    run_starts = [1] + [j + 1 for j in range(1, n) if bwt[j] != bwt[j - 1]]
-    letters = [bwt[p - 1] for p in run_starts]
-    return RunLengthBWT(n, bundle.text.sigma, SparseBitvector(run_starts, n),
-                        letters)
+    # run p starts at bwt position starts[p-1]: 1, then after every change
+    starts = np.concatenate(([1], np.flatnonzero(bwt[1:] != bwt[:-1]) + 2))
+    return RunLengthBWT(bundle.n, bundle.text.sigma,
+                        SparseBitvector(starts.tolist(), bundle.n),
+                        bwt[starts - 1].tolist())

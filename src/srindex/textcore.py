@@ -2,9 +2,11 @@
 
 Symbols are remapped to a compact alphabet [1..sigma] preserving byte
 order, with symbol 1 reserved for the terminator (appended if missing).
-Suffix arrays are 1-based: sa[i-1] = SA[i] is the start of the i-th
-smallest suffix. BWT[i] = T[SA[i]-1] with T[0] wrapping to the terminator,
-and Psi(i) = ISA[(SA[i] mod n) + 1].
+The bundle's sa, isa, bwt and psi are 0-indexed int64 numpy arrays holding
+1-based values: sa[i-1] = SA[i] is the start of the i-th smallest suffix.
+BWT[i] = T[SA[i]-1] with T[0] wrapping to the terminator, and
+Psi(i) = ISA[(SA[i] mod n) + 1]. The suffix array comes from prefix
+doubling that re-sorts only the groups of suffixes not yet told apart.
 """
 
 import numpy as np
@@ -66,30 +68,59 @@ def ingest(data, fasta=False):
 
 
 def _suffix_array(symbols):
-    """Prefix-doubling suffix array; returns 0-based suffix starts."""
+    """Suffix array by prefix doubling that re-sorts only unfinished groups
+    (Larsson and Sadakane, Faster suffix sorting, TCS 2007); returns the
+    0-based suffix starts as an int64 array.
+
+    symbols must end with a unique smallest symbol, the terminator, so a
+    suffix whose sorted prefix reaches it is alone in its group. Ranks
+    start from the first K symbols packed into one int64 (zero-padded past
+    the end); each round doubles the sorted prefix length h by sorting the
+    members of unfinished groups on (group head, rank of the suffix h
+    further on). A group head is the group's first slot in the order, so a
+    rank is final once its group is a singleton.
+    """
     a = np.asarray(symbols, dtype=np.int64)
     n = a.size
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    rank = a
-    k = 1
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r_ord = rank[order]
-        k_ord = key2[order]
-        changed = (r_ord[1:] != r_ord[:-1]) | (k_ord[1:] != k_ord[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.concatenate(([0], np.cumsum(changed)))
-        rank = new_rank
-        if rank[order[-1]] == n - 1:
-            return order
-        k <<= 1
+    bits = int(a.max()).bit_length()
+    h = 62 // bits
+    key = np.zeros(n, dtype=np.int64)
+    for j in range(min(h, n)):
+        key[:n - j] |= a[j:] << (bits * (h - 1 - j))
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    todo = _regroup(np.arange(n), key[order], order, rank)
+    while todo.size:
+        idx = order[todo]
+        # an unfinished suffix does not reach the terminator: idx + h < n
+        key = rank[idx] * (n + 1) + rank[idx + h] + 1
+        perm = np.argsort(key, kind="stable")
+        idx = idx[perm]
+        order[todo] = idx
+        todo = _regroup(todo, key[perm], idx, rank)
+        h *= 2
+    return order
+
+
+def _regroup(slots, keys, idx, rank):
+    """Split the sorted members of unfinished groups, which sit at slots
+    of the order, by their sorted keys: each suffix idx gets its new
+    group's head as rank. Returns the slots still in groups of two or
+    more."""
+    m = slots.size
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=m)
+    rank[idx] = np.repeat(slots[starts], sizes)
+    return slots[np.repeat(sizes > 1, sizes)]
 
 
 class SuffixBundle:
-    """sa/isa/bwt/psi as 0-indexed lists holding 1-based values."""
+    """sa/isa/bwt/psi as 0-indexed int64 numpy arrays holding 1-based
+    values. The builders cut their run tables from these arrays and keep
+    only r-sized results, as Python ints."""
 
     def __init__(self, text, sa, isa, bwt, psi):
         self.text = text
@@ -102,19 +133,15 @@ class SuffixBundle:
 
 def build_bundle(text):
     n = text.n
-    sa0 = _suffix_array(text.symbols)
-    isa0 = np.empty(n, dtype=np.int64)
-    isa0[sa0] = np.arange(n, dtype=np.int64)
-    sym = np.asarray(text.symbols, dtype=np.int64)
-    bwt = sym[(sa0 - 1) % n]
-    psi = isa0[(sa0 + 1) % n] + 1
-    return SuffixBundle(
-        text,
-        (sa0 + 1).tolist(),
-        (isa0 + 1).tolist(),
-        bwt.tolist(),
-        psi.tolist(),
-    )
+    symbols = np.asarray(text.symbols, dtype=np.int64)
+    sa = _suffix_array(symbols)
+    isa = np.empty(n, dtype=np.int64)
+    isa[sa] = np.arange(1, n + 1, dtype=np.int64)
+    # sa - 1 is -1 for the suffix at 0: it wraps to the terminator
+    bwt = symbols[sa - 1]
+    psi = isa[(sa + 1) % n]
+    sa += 1
+    return SuffixBundle(text, sa, isa, bwt, psi)
 
 
 def oracle_search(text, pattern):

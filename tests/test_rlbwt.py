@@ -51,7 +51,7 @@ class TestRandom:
                 assert b.sa[rl.lf_step(j) - 1] == (b.sa[j - 1] - 2) % n + 1
             for c in range(1, t.sigma + 1):
                 for j in range(n + 1):
-                    assert rl.rank_symbol(c, j) == b.bwt[:j].count(c)
+                    assert rl.rank_symbol(c, j) == b.bwt[:j].tolist().count(c)
             # psi and lf are mutually inverse
             for j in range(1, n + 1):
                 assert b.psi[rl.lf_step(j) - 1] == j

@@ -377,6 +377,25 @@ class TestEnvelope:
         with pytest.raises(envelope.FormatError, match=match):
             toolkit.load_index(blob)
 
+    @pytest.mark.parametrize("kind,s,section", [
+        ("sr-csa", 4, "marks_l"),
+        ("r-index", None, "first"),
+        ("sr-index", 4, "marks"),
+    ])
+    def test_marks_past_text_rejected(self, kind, s, section):
+        # a mark bitvector whose last position and length are both raised
+        # past the text's n; the sr-csa one used to load and locate 33
+        # substrings of its text wrongly
+        blob = toolkit.build_index(b"abracadabra" * 5, kind, s=s,
+                                   block=4).serialize()
+        bv = envelope._sparse_from(envelope._open(blob)[2][section])
+        bv.positions[-1] += 1000
+        bv.n += 1000
+        bad = reseal(blob, section, envelope._sparse_bytes(bv))
+        with pytest.raises(envelope.FormatError,
+                           match=f"{section} does not match header"):
+            toolkit.load_index(bad)
+
     @pytest.mark.parametrize("kind,section,c,change", [
         ("r-csa", "psi_heads", 2, {4: b"\x00\x00"}),     # codes zeroed
         ("r-csa", "psi_heads", 2, {2: 8, 4: b"\xe4"}),   # stream cut short
