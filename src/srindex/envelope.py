@@ -9,7 +9,10 @@ fields their constructors take, and (section, attribute, codec) rows, with
 the run-length BWT and Psi-run groups shared. serialize and deserialize
 only walk it. Sparse bitvectors are Elias-Fano coded here, and the Psi-run
 heads and tails blocked Elias-delta coded, and only here. Rank
-directories and derived tables are rebuilt on load; the load path checks
+directories and derived tables are rebuilt on load: the locating kinds
+turn mark_map (first_to_run), valid and valid_area into their per-gap
+phi tables and keep no copy of them, and the Psi runs drop their tails,
+so those sections are derived again on write. The load path checks
 the checksum, that the header fits the kind, that the sections are
 exactly the ones the table names for the kind and variant and tile the
 body, that each codec reads its whole section and finds the bytes its
@@ -337,6 +340,13 @@ def _sa_values(table, shift, *kind):
     return (table, *kind), ok, f"{table} holds positions outside the text"
 
 
+def _distinct(table):
+    """Check row: table's SA samples are distinct, as SA values are; the
+    index finds a mark's sample slot again by its value on write."""
+    return ((table,), lambda v, h: len(set(v[table])) == len(v[table]),
+            f"{table} repeats a position")
+
+
 # Structural invariants the loader checks before building anything, each
 # when all the sections it reads are present: (sections, test over the
 # decoded sections v and the header h, message).
@@ -377,6 +387,9 @@ CHECKS = [
     _sa_values("f_sa", 0),
     _sa_values("samples_sub", 1, "marks"),
     _sa_values("samples_sub", 0, "marks_l"),
+    _distinct("samples"),
+    _distinct("f_sa"),
+    _distinct("samples_sub"),
     (("sa_last",), lambda v, h: 1 <= v["sa_last"] <= h["n"],
      "sa_last holds a position outside the text"),
     _maps_marks("first_to_run", "first", "samples"),

@@ -2,13 +2,16 @@
 
 Text positions SA[j]-1 at run starts are marked in a sparse bitvector
 (domain [0..n-1], stored shifted to [1..n]); each run keeps the SA value
-at its last position, minus one. phi maps SA[j]-1 to SA[j-1]; locate walks
-phi from the toehold SA[ep] maintained during backward search.
+at its last position, minus one. phi maps SA[j]-1 to SA[j-1]: one
+predecessor search on the marks and one add of the offset held for the
+gap it lands in; locate walks phi from the toehold SA[ep] maintained
+during backward search.
 
 This is the sr-index at s = 1, where the sweep drops nothing, so RIndex is
 an SrIndex with no sample removed and locates through srindex.Subsampled.
 It keeps format v1's names for its tables: first (the marks), samples,
-and first_to_run (each mark's run), which is derived from mark_map.
+and first_to_run (each mark's run), which is derived on write from the
+per-gap offsets, as SrIndex derives mark_map.
 """
 
 import numpy as np

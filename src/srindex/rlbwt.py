@@ -1,9 +1,17 @@
 """Run-length BWT with backward-search counting.
 
 Only run-level structures are kept: a sparse bitvector marking run starts,
-the run-head symbols with rank/select, per-symbol cumulative run lengths,
-and the C table. bwt positions, runs, and symbols are all 1-based.
+the run-head symbols, each symbol's run starts (a SymbolSequence over bwt
+positions), per-symbol cumulative run lengths, and the C table. bwt
+positions, runs, and symbols are all 1-based.
+
+Counting occurrences of c in bwt[1..j] is one search: the last c-run
+starting at or before j holds the answer, its cumulative length capped at
+that run's end. A backward step is two such searches, an LF step one
+search for j's run and one among its symbol's runs.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -63,8 +71,9 @@ class RunLengthBWT(BackwardSearch):
         self.r = len(letters)
         self.start = start            # SparseBitvector of run starts
         self.letters = list(letters)
-        self.letter_seq = SymbolSequence(letters)
         starts = self.start.positions
+        # per symbol, the bwt positions its runs start at
+        self.letter_seq = SymbolSequence(letters, starts)
         lengths = [
             (starts[i + 1] if i + 1 < self.r else n + 1) - starts[i]
             for i in range(self.r)
@@ -86,7 +95,7 @@ class RunLengthBWT(BackwardSearch):
 
     def run_of(self, j):
         """Index of the run containing bwt position j."""
-        return self.start.rank1(j)
+        return bisect_right(self.start.positions, j)
 
     def run_start(self, p):
         """First bwt position of run p."""
@@ -101,18 +110,19 @@ class RunLengthBWT(BackwardSearch):
 
     def rank_symbol(self, c, j):
         """Occurrences of c in bwt[1..j]."""
-        if j <= 0:
+        starts = self.letter_seq.occ.get(c, ())
+        k = bisect_right(starts, j)
+        if not k:
             return 0
-        p = self.run_of(j)
-        k = self.letter_seq.rank(c, p)
         cum = self.lex_cum[c]
-        if self.letters[p - 1] == c:
-            return cum[k - 1] + (j - self.start.positions[p - 1] + 1)
-        return cum[k]
+        return min(cum[k - 1] + j - starts[k - 1] + 1, cum[k])
 
     def lf_step(self, j):
-        c = self.bwt_access(j)
-        return self.C[c] + self.rank_symbol(c, j)
+        c = self.letters[self.run_of(j) - 1]
+        # j's own run is c's last run starting at or before j
+        starts = self.letter_seq.occ[c]
+        k = bisect_right(starts, j)
+        return self.C[c] + self.lex_cum[c][k - 1] + j - starts[k - 1] + 1
 
     def backward_step(self, rng, c):
         """One backward-search step; returns the new range or None."""
@@ -127,10 +137,16 @@ class RunLengthBWT(BackwardSearch):
         """How a step by c moves the toehold SA[ep]: 0 when it just drops
         by one, else the run whose end sample it becomes; None when c does
         not occur in bwt[sp..ep]."""
-        if self.bwt_access(ep) == c:
+        starts = self.letter_seq.occ.get(c, ())
+        k = bisect_right(starts, ep)
+        if not k:
+            return None
+        # c's last run starting at or before ep: ep lies in it, or the
+        # toehold becomes its end
+        cum = self.lex_cum[c]
+        if ep - starts[k - 1] < cum[k] - cum[k - 1]:
             return 0
-        k = self.letter_seq.rank(c, self.run_of(ep))
-        return self.letter_seq.select(c, k) if k else None
+        return self.run_of(starts[k - 1])
 
 
 def build_rlbwt(bundle):

@@ -13,12 +13,12 @@ dropped.
 
 Variants mirror the BWT side: variant 1 keeps a validity bit per
 surviving mark gap (removed marks below the mark), variant 2 adds the
-distance from the mark down to the nearest removed one. iphi checks that
-data on the gap its own successor search found and returns None for a
-step it cannot vouch for.
+distance from the mark down to the nearest removed one. Held as the
+core's per-gap tables, iphi is one successor search on the marks plus one
+add, and its reuse check one comparison with the gap's lim.
 """
 
-from .srindex import Subsampled, subsample
+from .srindex import INF, Subsampled, subsample
 from .succinct import DEFAULT_BLOCK
 
 
@@ -31,40 +31,24 @@ def subsample_back(sorted_values, s):
 class SrCsa(Subsampled):
     DIR = 1       # Psi: SA[Psi(i)] = SA[i] + 1
     SHIFT = 0     # samples are SA[run head]; iphi takes SA
+    PROBE = -1    # SA[j]'s gap ends at the first mark >= it
+    SAFE, NEVER = -INF, INF
 
     def __init__(self, runs, s, variant, removed, samples_sub, marks_l,
                  mark_map, valid=None, valid_area=None):
-        super().__init__(s, variant, removed, samples_sub, mark_map, valid,
-                         valid_area)
         self.runs = runs
-        self.n = runs.n
         self.sa_first = runs.n            # SA[1] = n, never removed
-        self.marks_l = marks_l
+        super().__init__(runs.n, s, variant, removed, samples_sub, marks_l,
+                         mark_map, valid, valid_area)
+
+    marks_l = property(lambda self: self.marks)
 
     def _direction(self):
         runs = self.runs
-        return (runs, self.sa_first, runs.psi, runs.run_start, runs.run_end,
-                self.iphi)
+        return runs, self.sa_first, runs.psi, runs.run_start, runs.run_end
 
-    # -- iphi on the surviving marks --------------------------------------
-
-    def iphi(self, i, check=False):
-        """SA[j+1] for i = SA[j], from i's successor mark; with check, None
-        unless the validity data show no removed mark between them."""
-        marks = self.marks_l
-        k = marks.rank1(i - 1) + 1
-        if k <= marks.ones:
-            succ = marks.positions[k - 1]
-        else:
-            k = 1
-            succ = marks.positions[0] + self.n
-        if check and not self.valid.get(k) and (
-                self.variant == 1
-                or succ - i >= self.valid_area[self.valid.rank0(k) - 1]):
-            return None
-        return self.samples_sub[self.mark_map[k - 1] - 1] - (succ - i)
-
-    # own name: the benchmark's tracer replaces locate in the class __dict__
+    # own names: the benchmark's tracer replaces these in the class __dict__
+    iphi = Subsampled.phi
     locate = Subsampled.locate
 
 

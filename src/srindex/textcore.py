@@ -16,7 +16,7 @@ TERMINATOR = 0  # byte value reserved for the end marker
 
 class Text:
     def __init__(self, symbols, alphabet):
-        self.symbols = symbols            # list[int], values in [1..sigma]
+        self.symbols = symbols            # int64 array, values in [1..sigma]
         self.n = len(symbols)
         self.alphabet = alphabet          # alphabet[sym-1] = original byte
         self.sigma = len(alphabet)
@@ -50,21 +50,25 @@ def flatten_fasta(data):
 
 
 def ingest(data, fasta=False):
-    """bytes -> Text. Rejects empty input and interior terminator bytes."""
+    """bytes -> Text. Rejects empty input and interior terminator bytes.
+    The symbols are one int64 array: the bytes mapped through a 256-entry
+    lookup table, then the terminator."""
     if fasta:
         data = flatten_fasta(data)
-    if not data:
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size and raw[-1] == TERMINATOR:
+        raw = raw[:-1]
+    if not raw.size:
         raise ValueError("empty input")
-    body = data[:-1] if data[-1] == TERMINATOR else data
-    if TERMINATOR in body:
+    present = np.flatnonzero(np.bincount(raw, minlength=256))
+    if present[0] == TERMINATOR:
         raise ValueError("terminator byte 0x00 inside the text")
-    if not body:
-        raise ValueError("empty input")
-    alphabet = [TERMINATOR] + sorted(set(body))
-    remap = {b: i + 1 for i, b in enumerate(alphabet)}
-    symbols = [remap[b] for b in body]
-    symbols.append(1)
-    return Text(symbols, alphabet)
+    code = np.zeros(256, dtype=np.int64)
+    code[present] = np.arange(2, present.size + 2)
+    symbols = np.empty(raw.size + 1, dtype=np.int64)
+    np.take(code, raw, out=symbols[:-1])
+    symbols[-1] = 1
+    return Text(symbols, [TERMINATOR] + present.tolist())
 
 
 def _suffix_array(symbols):
@@ -133,7 +137,7 @@ class SuffixBundle:
 
 def build_bundle(text):
     n = text.n
-    symbols = np.asarray(text.symbols, dtype=np.int64)
+    symbols = text.symbols
     sa = _suffix_array(symbols)
     isa = np.empty(n, dtype=np.int64)
     isa[sa] = np.arange(1, n + 1, dtype=np.int64)
@@ -150,7 +154,7 @@ def oracle_search(text, pattern):
     if syms is None:
         return 0, []
     # symbols fit in a byte after the -1 shift (sigma <= 256)
-    hay = bytes(v - 1 for v in text.symbols[:-1])
+    hay = (text.symbols[:-1] - 1).astype(np.uint8).tobytes()
     needle = bytes(v - 1 for v in syms)
     out = []
     start = hay.find(needle)

@@ -5,12 +5,15 @@ small query benchmark.
 """
 
 import random
+import sys
 import time
+
+import numpy as np
 
 from . import envelope
 from .rcsa import DEFAULT_BLOCK, build_psi_runs, build_rcsa
 from .rindex import build_rindex
-from .rlbwt import build_rlbwt
+from .rlbwt import BackwardSearch, build_rlbwt
 from .srcsa import build_srcsa, subsample_rcsa
 from .srindex import (QueryCounters, build_srindex, subsample,
                       subsample_rindex)
@@ -95,8 +98,6 @@ def gen_corpus(base_size=100_000, copies=10, mutation=0.001, seed=0,
                alphabet=b"ACGT", motif_size=8192, motif_mutation=0.0005):
     """Repetitive synthetic text: a low-entropy base (a random motif tiled
     with light mutations) replicated with per-symbol mutations."""
-    import numpy as np
-
     if base_size < 1 or copies < 1:
         raise ValueError("base size and copies must be at least 1")
     if not 0 <= mutation <= 1:
@@ -158,7 +159,8 @@ def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
 
 
 def index_stats(data):
-    """Envelope bytes -> size breakdown in bits per symbol."""
+    """Envelope bytes -> size breakdown in bits per symbol, and the bytes
+    each table of the loaded index takes in memory."""
     params = envelope.read_params(data)
     sizes = envelope.section_sizes(data)
     n = params["n"]
@@ -169,7 +171,39 @@ def index_stats(data):
         "counting_bps": envelope.counting_bits(data) / n,
         "locating_bps": envelope.locating_bits(data) / n,
         "section_bps": per_section,
+        "memory_bytes": memory_bytes(load_index(data).ix),
     }
+
+
+def memory_bytes(ix):
+    """In-memory bytes per top-level table of an index: one entry per
+    attribute, the run structure's under its attribute's name ("rl.start"),
+    from a sys.getsizeof walk that counts an object shared by several
+    tables (a small int, a sentinel, a list two tables hold) once, under
+    the first table that reaches it."""
+    seen = set()
+
+    def size(obj):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        total = sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            total += sum(size(k) + size(v) for k, v in obj.items())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            total += sum(map(size, obj))
+        elif hasattr(obj, "__dict__"):
+            total += size(vars(obj))
+        return total
+
+    out = {}
+    for name, value in vars(ix).items():
+        if isinstance(value, BackwardSearch):
+            out.update((f"{name}.{inner}", size(table))
+                       for inner, table in vars(value).items())
+        else:
+            out[name] = size(value)
+    return out
 
 
 # -- verification -----------------------------------------------------------
@@ -195,7 +229,8 @@ def verify(data, kinds=None, s_values=(4, 8), seed=0,
     text = ingest(data, fasta=fasta)
     if text.n > VERIFY_MAX_N:
         raise ValueError(f"text too large to verify (n > {VERIFY_MAX_N})")
-    raw = bytes(text.alphabet[v - 1] for v in text.symbols[:-1])
+    raw = np.array(text.alphabet, dtype=np.uint8)[
+        text.symbols[:-1] - 1].tobytes()
     rng = random.Random(seed)
     patterns = []
     for ln in pattern_lengths:

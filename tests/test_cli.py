@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import naive_occurrences
-from srindex import cli
+from srindex import cli, toolkit
 
 
 def run(argv, capsys):
@@ -81,6 +81,25 @@ class TestStats:
         st = json.loads(out)
         assert st["kind"] == "r-index"
         assert st["locating_bps"] > 0
+
+    @pytest.mark.parametrize("variant", [0, 2])
+    def test_index_stats_memory(self, corpus, tmp_path, capsys, variant):
+        # the loaded index's tables by in-memory bytes: the per-gap phi
+        # tables stand where the format's mark and validity tables were
+        idx = tmp_path / "ix.bin"
+        run(["build", str(corpus), "-o", str(idx), "--kind", "sr-index",
+             "--s", "4", "--variant", str(variant)], capsys)
+        rc, out, _ = run(["stats", str(idx)], capsys)
+        mem = json.loads(out)["memory_bytes"]
+        assert rc == 0 and all(type(b) is int for b in mem.values())
+        for table in ("offs", "marks", "samples_sub", "removed", "rl.start",
+                      "rl.letter_seq", "rl.lex_cum"):
+            assert mem[table] > 0, table
+        assert not {"mark_map", "valid", "valid_area"} & set(mem)
+        # 8 bytes or more per mark gap; lim is None at variant 0
+        gaps = toolkit.load_index(idx.read_bytes()).ix.marks.ones + 1
+        assert mem["offs"] >= 8 * gaps
+        assert (mem["lim"] >= 8 * gaps) == (variant == 2)
 
 
 class TestVerify:

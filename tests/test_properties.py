@@ -104,3 +104,32 @@ def test_checked_phi_is_full_phi_or_none(data):
                 removed = nearest(full_marks, i) not in kept
                 assert (got[2] is None) == removed, (phi, s, i)
                 assert got[2] is not None or got[1] is None, (phi, s, i)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=TEXTS)
+def test_rank_by_symbol_matches_naive_counts(data):
+    # rank_symbol, lf_step and toehold_run search one symbol's run starts;
+    # naive counts over the BWT must agree for every symbol and position
+    bundle = build_bundle(ingest(data))
+    rl = build_rlbwt(bundle)
+    n, sigma = bundle.n, rl.sigma
+    bwt = bundle.bwt.tolist()
+    sa, isa = bundle.sa.tolist(), bundle.isa.tolist()
+    counts = [0] * (sigma + 1)
+    last = [0] * (sigma + 1)        # last position of c in bwt[1..j]
+    run_of = [0]                    # run_of[j], counted from the bwt
+    for j in range(n + 1):
+        if j:
+            c = bwt[j - 1]
+            counts[c] += 1
+            last[c] = j
+            run_of.append(run_of[-1] + (j == 1 or c != bwt[j - 2]))
+            # SA[LF(j)] = SA[j] - 1, cyclically
+            assert rl.lf_step(j) == isa[(sa[j - 1] - 2) % n], j
+        for c in range(1, sigma + 1):
+            assert rl.rank_symbol(c, j) == counts[c], (c, j)
+            if j:
+                want = (None if not last[c] else 0 if last[c] == j
+                        else run_of[last[c]])
+                assert rl.toehold_run(1, j, c) == want, (c, j)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
-from srindex import toolkit
+from srindex import srindex, toolkit
 from srindex.rindex import build_rindex
 from srindex.srindex import (QueryCounters, build_srindex, subsample,
                              subsample_rindex)
@@ -186,33 +186,64 @@ class TestBuild:
             naive_occurrences(data, pat)
 
 
+class Logged(list):
+    """A phi table that logs each read into events."""
+
+    def __init__(self, items, name, events):
+        super().__init__(items)
+        self.name, self.events = name, events
+
+    def __getitem__(self, g):
+        self.events.append((self.name, g))
+        return super().__getitem__(g)
+
+
 @pytest.mark.parametrize("kind,phi,marks", [("sr-index", "phi", "marks"),
                                             ("sr-csa", "iphi", "marks_l")])
 @pytest.mark.parametrize("variant", [1, 2])
-def test_reused_step_costs_one_mark_rank(kind, phi, marks, variant):
-    # the locate core asks phi (iphi on the Psi side) once per step it
-    # may reuse, and phi checks its safety on the gap its own mark search
-    # found: one rank on the marks per phi call, reused steps included
+def test_reused_step_costs_one_mark_rank(kind, phi, marks, variant,
+                                         monkeypatch):
+    # locate searches the marks once per phi step (iphi on the Psi side)
+    # and once per reuse attempt, which reads the gap's lim and, when the
+    # reuse is safe, its offs: every search of the marks is followed by a
+    # read of lim or offs at the gap it found, and every read follows its
+    # own search
     data = toolkit.gen_corpus(2_000, 4, 0.01, seed=3)
     bi = toolkit.build_index(data, kind, s=4, variant=variant, block=4)
-    calls = {"rank1": 0, "phi": 0, "reused": 0}
-    bv, step = getattr(bi.ix, marks), getattr(bi.ix, phi)
-    rank1 = bv.rank1
+    ix = bi.ix
+    assert getattr(type(ix), phi) is srindex.Subsampled.phi
+    positions = getattr(ix, marks).positions
+    events = []
+    search = srindex.bisect_right
 
-    def counted_rank1(i):
-        calls["rank1"] += 1
-        return rank1(i)
+    def logged_search(seq, x):
+        g = search(seq, x)
+        if seq is positions:
+            events.append(("search", g))
+        return g
 
-    def counted_phi(*args):
-        calls["phi"] += 1
-        out = step(*args)
-        calls["reused"] += len(args) > 1 and out is not None
-        return out
-
-    bv.rank1 = counted_rank1
-    setattr(bi.ix, phi, counted_phi)
+    monkeypatch.setattr(srindex, "bisect_right", logged_search)
+    ix.offs = Logged(ix.offs, "offs", events)
+    ix.lim = Logged(ix.lim, "lim", events)
     for i in range(0, len(data) - 8, 61):
         pat = data[i:i + 8]
         assert sorted(bi.locate(pat)) == naive_occurrences(data, pat)
-    assert calls["rank1"] == calls["phi"]
-    assert calls["reused"]
+    steps = {"phi": 0, "reused": 0, "refused": 0}
+    at = 0
+    while at < len(events):
+        (what, g), at = events[at], at + 1
+        assert what == "search", events[at - 5:at]
+        reads = []
+        while at < len(events) and events[at][0] != "search":
+            reads.append(events[at])
+            at += 1
+        assert all(gap == g for _, gap in reads), reads
+        kinds = [name for name, _ in reads]
+        if kinds == ["offs"]:
+            steps["phi"] += 1
+        elif kinds == ["lim", "offs"]:
+            steps["reused"] += 1
+        else:
+            assert kinds == ["lim"], kinds
+            steps["refused"] += 1
+    assert steps["reused"] and steps["phi"] + steps["refused"]

@@ -2,6 +2,7 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import naive_occurrences, naive_suffix_array, random_text
@@ -25,10 +26,21 @@ class TestIngest:
         t = ingest(T1)
         assert t.n == 7
         assert t.alphabet == [0, ord("a"), ord("b")]
-        assert t.symbols == [2, 3, 2, 2, 3, 2, 1]
+        assert t.symbols.tolist() == [2, 3, 2, 2, 3, 2, 1]
+        assert t.symbols.dtype == np.int64
 
     def test_trailing_terminator_accepted(self):
-        assert ingest(T1 + b"\x00").symbols == ingest(T1).symbols
+        assert (ingest(T1 + b"\x00").symbols.tolist()
+                == ingest(T1).symbols.tolist())
+
+    def test_full_byte_alphabet(self):
+        # every byte but the terminator: symbols 2..256, order kept
+        data = bytes(range(255, 0, -1)) + bytes(range(1, 256))
+        t = ingest(data)
+        assert t.alphabet == list(range(256)) and t.sigma == 256
+        assert t.symbols.tolist() == [b + 1 for b in data] + [1]
+        assert ingest(bytearray(data)).symbols.tolist() == \
+            t.symbols.tolist()
 
     def test_rejects_empty(self):
         for bad in (b"", b"\x00"):

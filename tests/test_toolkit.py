@@ -8,7 +8,8 @@ import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex import envelope, toolkit
-from srindex.succinct import DenseBitvector, delta_append
+from srindex.envelope import DENSE, INTS, SPARSE
+from srindex.succinct import DenseBitvector, SparseBitvector, delta_append
 from srindex.textcore import ingest, oracle_search
 
 ALL_BUILDS = [
@@ -210,6 +211,30 @@ def on_section(name, edit):
                                edit(envelope._open(blob)[2][name]))
 
 
+def edit_section(name, codec, change):
+    """A blob mutation that decodes section name with codec (an envelope
+    codec), replaces its value v by change(v, header fields) and codes it
+    back. The index derives its mark and validity tables from its phi
+    tables on write, so edits of those tables go through the bytes."""
+    encode, decode = codec
+
+    @on_bytes
+    def edit(blob):
+        head = envelope.read_params(blob)
+        return on_section(name, lambda p: encode(
+            change(decode(p, head), head), head))(blob)
+    return edit
+
+
+def set_first(value):
+    """change for edit_section: the first entry becomes value(table, n)."""
+    return lambda table, head: [value(table, head["n"])] + table[1:]
+
+
+def shift_all(table, head):
+    return [x + 10**6 for x in table]
+
+
 def start_low_bits(change, high_n_off=0):
     """The r-index's run starts re-coded at their low_bits plus change."""
     def edit(payload):
@@ -305,46 +330,54 @@ class TestEnvelope:
             envelope.deserialize(b"XXXX" + blob[4:])
 
     @pytest.mark.parametrize("kind,s,variant,mutate,match", [
-        ("r-csa", None, 0, lambda ix: ix.mark_map.__setitem__(0, 10**6),
+        ("r-csa", None, 0, edit_section(
+            "mark_map", INTS, set_first(lambda t, n: 10**6)), "mark_map"),
+        ("r-csa", None, 0, edit_section(
+            "mark_map", INTS, lambda t, h: t[:-1]), "mark_map"),
+        ("r-index", None, 0, edit_section(
+            "first_to_run", INTS, set_first(lambda t, n: 0)), "first_to_run"),
+        ("sr-index", 4, 0, edit_section(
+            "mark_map", INTS, set_first(lambda t, n: 0)), "mark_map"),
+        # one mark per kept sample: len(t) is the length of samples_sub
+        ("sr-csa", 4, 0, edit_section(
+            "mark_map", INTS, set_first(lambda t, n: len(t) + 1)),
          "mark_map"),
-        ("r-csa", None, 0, lambda ix: ix.mark_map.pop(), "mark_map"),
-        # first_to_run is derived from mark_map: -1 there writes a 0 in it
-        ("r-index", None, 0,
-         lambda ix: ix.mark_map.__setitem__(0, -1), "first_to_run"),
-        ("sr-index", 4, 0, lambda ix: ix.mark_map.__setitem__(0, 0),
-         "mark_map"),
-        ("sr-csa", 4, 0,
-         lambda ix: ix.mark_map.__setitem__(0, len(ix.samples_sub) + 1),
-         "mark_map"),
-        ("sr-index", 4, 1,
-         lambda ix: setattr(ix, "valid", DenseBitvector([1])), "validity"),
-        ("sr-csa", 4, 2, lambda ix: ix.valid_area.append(1), "validity"),
-        ("sr-index", 4, 1, lambda ix: ix.valid.words.clear(), "dense"),
+        ("sr-index", 4, 1, edit_section(
+            "valid", DENSE, lambda bv, h: DenseBitvector([1])), "validity"),
+        ("sr-csa", 4, 2, edit_section(
+            "valid_area", INTS, lambda t, h: t + [1]), "validity"),
+        ("sr-index", 4, 1, edit_section(
+            "valid", DENSE, lambda bv, h: DenseBitvector.from_words(
+                [], bv.n)), "dense"),
         ("sr-index", 4, 0, lambda ix: setattr(
             ix, "removed", DenseBitvector.from_words(
                 [ix.removed.words[0] | 1 << ix.removed.n], ix.removed.n)),
          "dense"),
-        ("sr-index", 4, 0, lambda ix: ix.marks.positions.__setitem__(
-            1, ix.marks.positions[0]), "not increasing"),
+        ("sr-index", 4, 0, edit_section(
+            "marks", SPARSE, lambda bv, h: SparseBitvector(
+                bv.positions[:1] * 2 + bv.positions[2:], bv.n)),
+         "not increasing"),
         # SA samples pointing outside the text
-        ("r-index", None, 0, lambda ix: ix.samples.__setitem__(
-            slice(None), [x + 10**6 for x in ix.samples]), "outside"),
-        ("r-index", None, 0, lambda ix: ix.samples.__setitem__(0, ix.n),
+        ("r-index", None, 0, edit_section("samples", INTS, shift_all),
          "outside"),
-        ("sr-index", 4, 0, lambda ix: ix.samples_sub.__setitem__(
-            slice(None), [x + 10**6 for x in ix.samples_sub]), "outside"),
-        ("sr-index", 4, 2, lambda ix: ix.samples_sub.__setitem__(-1, ix.n),
+        ("r-index", None, 0, edit_section(
+            "samples", INTS, set_first(lambda t, n: n)), "outside"),
+        ("sr-index", 4, 0, edit_section("samples_sub", INTS, shift_all),
          "outside"),
+        ("sr-index", 4, 2, edit_section(
+            "samples_sub", INTS, lambda t, h: t[:-1] + [h["n"]]), "outside"),
         ("sr-index", 4, 0, lambda ix: setattr(ix, "sa_last", ix.n + 1),
          "outside"),
         ("sr-index", 4, 1, lambda ix: setattr(ix, "sa_last", 0), "outside"),
-        ("r-csa", None, 0, lambda ix: ix.f_sa.__setitem__(0, ix.n + 1),
+        ("r-csa", None, 0, edit_section(
+            "f_sa", INTS, set_first(lambda t, n: n + 1)), "outside"),
+        ("r-csa", None, 0, edit_section(
+            "f_sa", INTS, lambda t, h: t[:-1] + [0]), "outside"),
+        ("sr-csa", 4, 0, edit_section(
+            "samples_sub", INTS, set_first(lambda t, n: 0)), "outside"),
+        ("sr-csa", 4, 2, edit_section(
+            "samples_sub", INTS, lambda t, h: t[:-1] + [h["n"] + 10**6]),
          "outside"),
-        ("r-csa", None, 0, lambda ix: ix.f_sa.__setitem__(-1, 0), "outside"),
-        ("sr-csa", 4, 0, lambda ix: ix.samples_sub.__setitem__(0, 0),
-         "outside"),
-        ("sr-csa", 4, 2, lambda ix: ix.samples_sub.__setitem__(
-            -1, ix.n + 10**6), "outside"),
         # Psi-run values: loaded, these made count(b"a") return 5 and 24,
         # not 25, and the raised tail count(b"d") 6, not 5; a head of 2**33
         # does not fit the array a text of n < 2**32 holds heads in
@@ -515,6 +548,44 @@ class TestEnvelope:
         cnt = envelope.counting_bits(blob)
         assert loc > 0 and cnt > 0
         assert loc + cnt <= 8 * len(blob)
+
+
+LOCATING_BUILDS = [("r-index", None, 0), ("r-csa", None, 0)] + [
+    (kind, s, v) for kind in ("sr-index", "sr-csa") for s in (1, 4)
+    for v in (0, 1, 2)]
+
+
+class TestOneCopy:
+    @pytest.mark.parametrize("kind,s,variant", LOCATING_BUILDS)
+    def test_tables_built_once(self, kind, s, variant):
+        # every table is built with the index, built or loaded: queries
+        # add or replace none and grow none, the format's mark and
+        # validity tables are never held, and loading then writing gives
+        # back the same bytes
+        data = toolkit.gen_corpus(400, 3, 0.02, seed=5)
+        built = toolkit.build_index(data, kind, s=s, variant=variant,
+                                    block=4)
+        blob = built.serialize()
+        loaded = toolkit.load_index(blob)
+        assert loaded.serialize() == blob
+        rng = random.Random(7)
+        for bi in (built, loaded):
+            ix = bi.ix
+            runs = ix.rl if kind.endswith("index") else ix.runs
+
+            def state():
+                return ({k: id(v) for k, v in vars(ix).items()},
+                        {k: id(v) for k, v in vars(runs).items()},
+                        toolkit.memory_bytes(ix))
+
+            before = state()
+            assert not {"mark_map", "valid", "valid_area"} & set(vars(ix))
+            for pat in sample_patterns(rng, data, 25, 1, 10):
+                occ, want = oracle_search(ingest(data), pat)
+                assert bi.count(pat) == occ
+                assert bi.locate(pat, sort=True) == want
+            assert state() == before
+            assert toolkit.load_index(bi.serialize()).serialize() == blob
 
 
 class TestCorpus:
