@@ -1,9 +1,9 @@
 """Run-length BWT with backward-search counting.
 
 Only run-level structures are kept: a sparse bitvector marking run starts,
-the run-head symbols, each symbol's run starts (a SymbolSequence over bwt
-positions), per-symbol cumulative run lengths, and the C table. bwt
-positions, runs, and symbols are all 1-based.
+the run-head symbols, each symbol's run starts (as bwt positions),
+per-symbol cumulative run lengths, and the C table. bwt positions, runs,
+and symbols are all 1-based.
 
 Counting occurrences of c in bwt[1..j] is one search: the last c-run
 starting at or before j holds the answer, its cumulative length capped at
@@ -15,7 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .succinct import SparseBitvector, SymbolSequence
+from .succinct import SparseBitvector
 
 
 class BackwardSearch:
@@ -72,17 +72,18 @@ class RunLengthBWT(BackwardSearch):
         self.start = start            # SparseBitvector of run starts
         self.letters = list(letters)
         starts = self.start.positions
-        # per symbol, the bwt positions its runs start at
-        self.letter_seq = SymbolSequence(letters, starts)
         lengths = [
             (starts[i + 1] if i + 1 < self.r else n + 1) - starts[i]
             for i in range(self.r)
         ]
-        # per-symbol cumulative run lengths, in bwt run order
+        # per symbol, the bwt positions its runs start at and its
+        # cumulative run lengths, in bwt run order
+        self.letter_starts = {}
         self.lex_cum = {}
         for c in range(1, sigma + 1):
             self.lex_cum[c] = [0]
-        for c, ln in zip(self.letters, lengths):
+        for c, p, ln in zip(self.letters, starts, lengths):
+            self.letter_starts.setdefault(c, []).append(p)
             cum = self.lex_cum[c]
             cum.append(cum[-1] + ln)
         # C[c] = number of symbols smaller than c
@@ -95,7 +96,7 @@ class RunLengthBWT(BackwardSearch):
 
     def run_of(self, j):
         """Index of the run containing bwt position j."""
-        return bisect_right(self.start.positions, j)
+        return self.start.rank1(j)
 
     def run_start(self, p):
         """First bwt position of run p."""
@@ -110,7 +111,7 @@ class RunLengthBWT(BackwardSearch):
 
     def rank_symbol(self, c, j):
         """Occurrences of c in bwt[1..j]."""
-        starts = self.letter_seq.occ.get(c, ())
+        starts = self.letter_starts.get(c, ())
         k = bisect_right(starts, j)
         if not k:
             return 0
@@ -120,7 +121,7 @@ class RunLengthBWT(BackwardSearch):
     def lf_step(self, j):
         c = self.letters[self.run_of(j) - 1]
         # j's own run is c's last run starting at or before j
-        starts = self.letter_seq.occ[c]
+        starts = self.letter_starts[c]
         k = bisect_right(starts, j)
         return self.C[c] + self.lex_cum[c][k - 1] + j - starts[k - 1] + 1
 
@@ -137,7 +138,7 @@ class RunLengthBWT(BackwardSearch):
         """How a step by c moves the toehold SA[ep]: 0 when it just drops
         by one, else the run whose end sample it becomes; None when c does
         not occur in bwt[sp..ep]."""
-        starts = self.letter_seq.occ.get(c, ())
+        starts = self.letter_starts.get(c, ())
         k = bisect_right(starts, ep)
         if not k:
             return None

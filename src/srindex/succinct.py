@@ -104,23 +104,20 @@ class SparseBitvector:
 
 class SymbolSequence:
     """rank/select over a short sequence of small integer symbols, kept as
-    per-symbol sorted position lists. The i-th item sits at position i, or
-    at positions[i-1] when increasing positions are given."""
+    per-symbol sorted position lists."""
 
-    def __init__(self, seq, positions=None):
-        if positions is None:
-            positions = range(1, len(seq) + 1)
+    def __init__(self, seq):
         self.occ = {}
-        for c, i in zip(seq, positions):
+        for i, c in enumerate(seq, 1):
             self.occ.setdefault(c, []).append(i)
 
     def rank(self, c, i):
-        """Occurrences of c at positions 1..i."""
+        """Occurrences of c in positions 1..i."""
         pos = self.occ.get(c)
         return bisect_right(pos, i) if pos else 0
 
     def select(self, c, k):
-        """Position of the k-th occurrence of c."""
+        """1-based position of the k-th occurrence of c."""
         pos = self.occ.get(c)
         if not pos or not 1 <= k <= len(pos):
             raise IndexError("select out of range")

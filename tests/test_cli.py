@@ -93,7 +93,7 @@ class TestStats:
         mem = json.loads(out)["memory_bytes"]
         assert rc == 0 and all(type(b) is int for b in mem.values())
         for table in ("offs", "marks", "samples_sub", "removed", "rl.start",
-                      "rl.letter_seq", "rl.lex_cum"):
+                      "rl.letter_starts", "rl.lex_cum"):
             assert mem[table] > 0, table
         assert not {"mark_map", "valid", "valid_area"} & set(mem)
         # 8 bytes or more per mark gap; lim is None at variant 0
