@@ -11,8 +11,11 @@ only walk it. Sparse bitvectors are Elias-Fano coded here, and the Psi-run
 heads and tails blocked Elias-delta coded, and only here. Rank
 directories and derived tables are rebuilt on load: the locating kinds
 turn mark_map (first_to_run), valid and valid_area into their per-gap
-phi tables and keep no copy of them, and the Psi runs drop their tails,
-so those sections are derived again on write. The load path checks
+phi tables and `removed` into their per-run sample slots, and keep no
+copy of them; the run-length BWT turns `start` and `letters` into its
+per-run starts and LF images; the Psi runs lay the per-symbol heads end
+to end and drop their tails. Those sections are derived again on write,
+as attributes of the same names. The load path checks
 the checksum, that the header fits the kind, that the sections are
 exactly the ones the table names for the kind and variant and tile the
 body, that each codec reads its whole section and finds the bytes its
@@ -207,11 +210,11 @@ def _delta_from(blob, block):
 
 
 def _deltas_bytes(seqs, head):
-    """Per-symbol delta streams (dict c -> BlockedDeltaSeq, c = 1..sigma),
-    in order, at the header's block size."""
+    """Per-symbol delta streams (dict c -> increasing values, c =
+    1..sigma), in order, at the header's block size."""
     out = [struct.pack("<I", len(seqs))]
     for c in sorted(seqs):
-        b = _delta_bytes(seqs[c].values, head["block"])
+        b = _delta_bytes(seqs[c], head["block"])
         out.append(struct.pack("<Q", len(b)))
         out.append(b)
     return b"".join(out)
@@ -351,6 +354,10 @@ def _distinct(table):
 # when all the sections it reads are present: (sections, test over the
 # decoded sections v and the header h, message).
 CHECKS = [
+    # the tables hold per-symbol entries, so sigma must be as small as the
+    # alphabet section says, not a header field the bytes cannot back
+    (("alphabet",), lambda v, h: len(v["alphabet"]) == h["sigma"],
+     "alphabet does not match header"),
     (("start", "letters"), lambda v, h: v["start"].n == h["n"]
      and v["start"].ones == len(v["letters"]) == h["r"],
      "run table does not match header"),
@@ -490,6 +497,10 @@ def _open(data):
             f in taken and head[f] < 1 for f in ("s", "block")) or any(
             head[f] for f in ("s", "block", "variant") if f not in taken):
         raise FormatError(f"header parameters do not fit {kind}")
+    if n >= (1 << 63) - 1:
+        # the run tables are built with int64 arithmetic on positions up
+        # to n + 1
+        raise FormatError("header n does not fit the 64-bit run tables")
     body_off = 56 + 32 * count
     if body_off > len(data) - 4:
         raise FormatError("section table runs past the envelope")

@@ -2,9 +2,14 @@
 
 Psi restricted to the suffix block of one symbol is increasing, so its
 runs of consecutive values (confined runs) never cross symbol boundaries
-and their count equals the number of BWT runs. Per symbol, run head and
-tail values are delta-coded; global run start positions, the SA values at
-run heads, and the C table complete the counting side.
+and their count equals the number of BWT runs. The counting side is two
+flat per-run tables and the C table: starts, each run's first position
+plus an n + 1 sentinel, and img, Psi of each run's first position (its
+head), so a Psi step from i in run q is img[q-1] + i - starts[q-1]. Runs
+lie in symbol order, so img is the per-symbol heads laid end to end, and
+a backward step by c searches c's stretch of it, whose bounds first_run
+gives. On disk the heads and the tails (head plus length minus one) are
+blocked Elias-delta coded per symbol; both are sliced from img on write.
 
 Locating mirrors the BWT side: the SA value at each run tail is a mark
 (text position), paired with the head sample of the next run (cyclically),
@@ -15,76 +20,69 @@ v1's name for the head samples, is its sample table.
 """
 
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
 from .rlbwt import BackwardSearch
 from .srcsa import SrCsa
-from .succinct import (DEFAULT_BLOCK, BlockedDeltaSeq, DenseBitvector,
-                       SparseBitvector)
+from .succinct import DEFAULT_BLOCK, SparseBitvector, uint_array
 
 
 class PsiRuns(BackwardSearch):
-    """Counting structures: per-symbol Psi-run heads plus run geometry.
-
-    A run's tail is its head plus its length minus one, so tails are
-    derived; the ones the constructor is given are checked, then dropped.
-    """
+    """Counting structures: the run starts, the run heads in run order,
+    and C. The tails the constructor is given are checked against the
+    heads and run lengths, then dropped."""
 
     def __init__(self, n, sigma, C, i_psi, heads, tails, block=DEFAULT_BLOCK):
         self.n = n
         self.sigma = sigma
         self.C = C                    # C[c] symbols smaller than c
-        self.i_psi = i_psi            # global run -> first position
         self.r = len(i_psi)
         self.block = block            # B of the delta streams on disk
+        starts = np.append(np.asarray(i_psi, dtype=np.int64), n + 1)
+        self.starts = uint_array(n + 1, starts)
         # first_run[c] = 1-based global index of c's first run (r+1 if none);
         # runs never cross symbol blocks, so it counts runs starting <= C[c]
-        self.first_run = [bisect_right(i_psi, x) + 1 for x in C]
-        self.heads = {c: BlockedDeltaSeq(v, n) for c, v in heads.items()}
-        if any(tails[c] != self._tails(c) for c in self.heads):
-            raise ValueError("psi run tails are not heads plus run lengths")
+        self.first_run = (np.searchsorted(starts[:-1], C, side="right")
+                          + 1).tolist()
 
-    def _tails(self, c):
-        heads = self.heads[c].values
-        lo = self.first_run[c] - 1
-        hi = lo + len(heads)
-        starts = self.i_psi
-        # a run ends where the next one starts, the last one at n + 1
-        ends = starts[lo + 1:hi + 1] + [self.n + 1]
-        return [h + e - s - 1 for h, s, e in zip(heads, starts[lo:hi], ends)]
+        def laid_end_to_end(per_symbol):
+            return np.fromiter(chain.from_iterable(
+                per_symbol[c] for c in range(1, sigma + 1)), np.int64)
+
+        img = laid_end_to_end(heads)
+        if not np.array_equal(laid_end_to_end(tails),
+                              img + np.diff(starts) - 1):
+            raise ValueError("psi run tails are not heads plus run lengths")
+        self.img = uint_array(n, img)
+
+    def _per_symbol(self, flat):
+        """dict c -> c's stretch of a per-run table."""
+        f = self.first_run
+        return {c: flat[f[c] - 1:f[c + 1] - 1]
+                for c in range(1, self.sigma + 1)}
+
+    @property
+    def i_psi(self):
+        """Run starts without the sentinel: format v1's section."""
+        return self.starts[:-1].tolist()
+
+    @property
+    def heads(self):
+        """Per symbol, its runs' heads: what the psi_heads section holds."""
+        return self._per_symbol(self.img)
 
     @property
     def tails(self):
         """Per symbol, its runs' tails: what the psi_tails section holds."""
-        return {c: BlockedDeltaSeq(self._tails(c), self.n) for c in self.heads}
-
-    def run_count(self, c):
-        return self.first_run[c + 1] - self.first_run[c]
-
-    def run_of(self, i):
-        """Global index of the run containing position i."""
-        return bisect_right(self.i_psi, i)
-
-    def symbol_of_run(self, q):
-        return bisect_right(self.first_run, q) - 1
-
-    def head_value(self, q):
-        c = self.symbol_of_run(q)
-        return self.heads[c].access(q - self.first_run[c] + 1)
-
-    def tail_value(self, q):
-        return self.head_value(q) + self.run_end(q) - self.run_start(q)
-
-    def run_start(self, q):
-        return self.i_psi[q - 1]
-
-    def run_end(self, q):
-        return self.i_psi[q] - 1 if q < self.r else self.n
+        img, starts = (np.frombuffer(t, dtype=t.typecode).astype(np.int64)
+                       for t in (self.img, self.starts))
+        return self._per_symbol((img + np.diff(starts) - 1).tolist())
 
     def psi(self, i):
-        q = self.run_of(i)
-        return self.head_value(q) + (i - self.i_psi[q - 1])
+        q = bisect_right(self.starts, i)
+        return self.img[q - 1] + i - self.starts[q - 1]
 
     def backward_step(self, rng, c):
         """Positions in the c-block whose Psi value lies in rng, or None.
@@ -92,43 +90,56 @@ class PsiRuns(BackwardSearch):
         Psi increases along the block, by one within a run. Each end of
         rng falls in or after the run with the last head <= it: ep maps to
         its offset in that run, capped at the run's end, and sp to its
-        offset, or to just past the run's end.
+        offset, or to just past the run's end. sp's search is bounded by
+        ep's result.
         """
         sp, ep = rng
-        if self.run_count(c) == 0:
+        img, starts = self.img, self.starts
+        lo = self.first_run[c] - 1
+        k = bisect_right(img, ep, lo, self.first_run[c + 1] - 1)
+        if k == lo:
             return None
-        heads = self.heads[c]
-        base = self.first_run[c] - 1
-        p = heads.pred(ep)
-        if p is None:
-            return None
-        q = base + p[1]
-        ep2 = min(self.run_start(q) + ep - p[0], self.run_end(q))
-        p = heads.pred(sp)
-        if p is None:
-            sp2 = self.run_start(base + 1)
+        ep2 = starts[k - 1] + ep - img[k - 1]
+        end = starts[k] - 1
+        if ep2 > end:
+            ep2 = end
+        k = bisect_right(img, sp, lo, k)
+        if k == lo:
+            sp2 = starts[lo]
         else:
-            q = base + p[1]
-            sp2 = min(self.run_start(q) + sp - p[0], self.run_end(q) + 1)
+            sp2 = starts[k - 1] + sp - img[k - 1]
+            end = starts[k]
+            if sp2 > end:
+                sp2 = end
         return (sp2, ep2) if sp2 <= ep2 else None
 
-    def toehold_run(self, sp, ep, c):
-        """How a step by c moves the toehold SA[sp]: 0 when it just drops
-        by one (sp lies inside a run of c's block), else the global run
-        whose head sample it becomes; None when c does not occur."""
-        if self.run_count(c) == 0:
+    def toehold_step(self, sp, ep, c):
+        """backward_step with the toehold SA[sp]: returns (sp', ep', edge)
+        or None. edge is 0 when the toehold just drops by one (sp lies
+        inside a run of c's block), else the first position of the run
+        whose head sample it becomes. sp's search gives both."""
+        img, starts = self.img, self.starts
+        lo = self.first_run[c] - 1
+        k = bisect_right(img, ep, lo, self.first_run[c + 1] - 1)
+        if k == lo:
             return None
-        p = self.heads[c].pred(sp)
-        if p is None:
-            return self.first_run[c]
-        q = self.first_run[c] - 1 + p[1]
-        return 0 if self.run_start(q) + sp - p[0] <= self.run_end(q) else q + 1
+        ep2 = starts[k - 1] + ep - img[k - 1]
+        end = starts[k] - 1
+        if ep2 > end:
+            ep2 = end
+        k = bisect_right(img, sp, lo, k)
+        if k == lo:
+            sp2 = edge = starts[lo]
+        else:
+            sp2, edge = starts[k - 1] + sp - img[k - 1], 0
+            if sp2 >= starts[k]:
+                sp2 = edge = starts[k]
+        return (sp2, ep2, edge) if sp2 <= ep2 else None
 
 
 class RCsa(SrCsa):
     def __init__(self, runs, f_sa, marks_l, mark_map):
-        super().__init__(runs, 1, 0, DenseBitvector([0] * runs.r), f_sa,
-                         marks_l, mark_map)
+        super().__init__(runs, 1, 0, None, f_sa, marks_l, mark_map)
 
     f_sa = property(lambda self: self.samples_sub)
 
@@ -161,7 +172,7 @@ def build_psi_runs(bundle, block=DEFAULT_BLOCK):
 def build_rcsa(bundle, block=DEFAULT_BLOCK):
     runs = build_psi_runs(bundle, block)
     sa = bundle.sa
-    i_psi = np.array(runs.i_psi, dtype=np.int64)
+    i_psi = np.array(runs.starts[:-1], dtype=np.int64)
     # the tail of run q is marked with SA there, paired with the head
     # sample of run q+1 (wrapping to run 1)
     marks = sa[np.append(i_psi[1:] - 1, runs.n) - 1]

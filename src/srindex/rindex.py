@@ -17,7 +17,7 @@ per-gap offsets, as SrIndex derives mark_map.
 import numpy as np
 
 from .srindex import SrIndex
-from .succinct import DenseBitvector, SparseBitvector
+from .succinct import SparseBitvector
 
 
 class RIndex(SrIndex):
@@ -25,8 +25,7 @@ class RIndex(SrIndex):
         r = rl.r
         # run p's first-position mark pairs with the sample of run p-1
         # (cyclic), the slot SrIndex's mark_map holds
-        super().__init__(rl, 1, 0, samples[r - 1] + 1,
-                         DenseBitvector([0] * r), samples, first,
+        super().__init__(rl, 1, 0, samples[r - 1] + 1, None, samples, first,
                          [p - 1 if p >= 2 else r for p in first_to_run])
 
     first = property(lambda self: self.marks)

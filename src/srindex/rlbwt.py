@@ -1,26 +1,34 @@
 """Run-length BWT with backward-search counting.
 
-Only run-level structures are kept: a sparse bitvector marking run starts,
-the run-head symbols, each symbol's run starts (as bwt positions),
-per-symbol cumulative run lengths, and the C table. bwt positions, runs,
-and symbols are all 1-based.
+Only run-level structures are kept, as flat per-run tables: starts, the
+first bwt position of each run plus an n + 1 sentinel, so run q spans
+starts[q-1] .. starts[q] - 1 (runs 1-based, the tables 0-based); img,
+LF of each run's first position, so an LF step from j in run q is
+img[q-1] + j - starts[q-1]; each symbol's run starts (letter_starts) and
+cumulative run lengths (lex_cum); and the C table. The run heads'
+symbols and the sparse bitvector of run starts, format v1's `letters`
+and `start`, are not held: they are derived from img, C and starts on
+write. bwt positions, runs and symbols are all 1-based.
 
 Counting occurrences of c in bwt[1..j] is one search: the last c-run
 starting at or before j holds the answer, its cumulative length capped at
 that run's end. A backward step is two such searches, an LF step one
-search for j's run and one among its symbol's runs.
+search in starts.
 """
 
 from bisect import bisect_right
 
 import numpy as np
 
-from .succinct import SparseBitvector
+from .succinct import SparseBitvector, uint_array
 
 
 class BackwardSearch:
     """Backward search, shared by both run structures: a subclass provides
-    n, sigma, backward_step(range, c) and toehold_run(sp, ep, c)."""
+    n, sigma, starts, img, backward_step(range, c) and
+    toehold_step(sp, ep, c). toehold_step is backward_step that also
+    tells where the toehold goes, from the same two searches; count keeps
+    the leaner backward_step."""
 
     def count_range(self, syms):
         """Backward search for a symbol list; suffix range or None."""
@@ -41,27 +49,25 @@ class BackwardSearch:
         """Backward search that also tracks where the toehold (SA[ep] on
         the BWT side, SA[sp] on the Psi side) comes from.
 
-        Returns None when syms does not occur, else (sp, ep, q, after): the
-        toehold is run q's sample minus `after`, or, when q is 0, that of
-        the full range minus `after`.
+        Returns None when syms does not occur, else (sp, ep, j, after): the
+        toehold is the sample at position j, the sampled edge of its
+        run, minus `after`, or, when j is 0, that of the full range minus
+        `after`. Each step is toehold_step's two searches.
         """
         sp, ep = 1, self.n
-        q = after = 0
+        j = after = 0
         for c in reversed(syms):
             if not 1 <= c <= self.sigma:
                 return None
-            p = self.toehold_run(sp, ep, c)
-            if p is None:
+            step = self.toehold_step(sp, ep, c)
+            if step is None:
                 return None
-            rng = self.backward_step((sp, ep), c)
-            if rng is None:
-                return None
-            sp, ep = rng
-            if p:
-                q, after = p, 0
+            sp, ep, edge = step
+            if edge:
+                j, after = edge, 0
             else:
                 after += 1
-        return sp, ep, q, after
+        return sp, ep, j, after
 
 
 class RunLengthBWT(BackwardSearch):
@@ -69,45 +75,59 @@ class RunLengthBWT(BackwardSearch):
         self.n = n
         self.sigma = sigma
         self.r = len(letters)
-        self.start = start            # SparseBitvector of run starts
-        self.letters = list(letters)
-        starts = self.start.positions
-        lengths = [
-            (starts[i + 1] if i + 1 < self.r else n + 1) - starts[i]
-            for i in range(self.r)
-        ]
-        # per symbol, the bwt positions its runs start at and its
-        # cumulative run lengths, in bwt run order
+        self.starts = start.positions + [n + 1]
+        starts = np.array(self.starts, dtype=np.int64)
+        lengths = np.diff(starts)
+        # runs in (symbol, position) order are the LF order of their
+        # first positions: LF(run q's first position) is one plus the
+        # length of all runs before q in that order
+        sym = np.asarray(letters, dtype=np.int64)
+        order = np.argsort(sym, kind="stable")
+        before = np.concatenate(([0], np.cumsum(lengths[order])))
+        img = np.empty(self.r, dtype=np.int64)
+        img[order] = before[:-1] + 1
+        self.img = uint_array(n, img)
+        # c's runs are order[cut[c]:cut[c+1]], so C[c], the number of
+        # symbols smaller than c, is before[cut[c]]
+        cut = np.searchsorted(sym[order], np.arange(sigma + 2))
+        self.C = before[cut].tolist()
+        # per symbol, the bwt positions its runs start at (the very ints
+        # starts holds) and its cumulative run lengths, in bwt run order
+        firsts = np.array(self.starts[:-1], dtype=object)[order]
         self.letter_starts = {}
         self.lex_cum = {}
         for c in range(1, sigma + 1):
-            self.lex_cum[c] = [0]
-        for c, p, ln in zip(self.letters, starts, lengths):
-            self.letter_starts.setdefault(c, []).append(p)
-            cum = self.lex_cum[c]
-            cum.append(cum[-1] + ln)
-        # C[c] = number of symbols smaller than c
-        counts = [0] * (sigma + 1)
-        for c, ln in zip(self.letters, lengths):
-            counts[c] += ln
-        self.C = [0] * (sigma + 2)
-        for c in range(1, sigma + 1):
-            self.C[c + 1] = self.C[c] + counts[c]
+            lo, hi = cut[c], cut[c + 1]
+            if lo < hi:
+                self.letter_starts[c] = firsts[lo:hi].tolist()
+            self.lex_cum[c] = (before[lo:hi + 1] - before[lo]).tolist()
+
+    @property
+    def start(self):
+        """Sparse bitvector of the run starts: format v1's section."""
+        return SparseBitvector(self.starts[:-1], self.n)
+
+    @property
+    def letters(self):
+        """Run head symbols in run order, format v1's section: run q's is
+        the c whose LF block C[c] + 1 .. C[c + 1] holds img[q-1]."""
+        img = np.frombuffer(self.img, dtype=self.img.typecode)
+        return (np.searchsorted(self.C, img) - 1).tolist()
 
     def run_of(self, j):
         """Index of the run containing bwt position j."""
-        return self.start.rank1(j)
+        return bisect_right(self.starts, j)
 
     def run_start(self, p):
         """First bwt position of run p."""
-        return self.start.positions[p - 1]
+        return self.starts[p - 1]
 
     def run_end(self, p):
         """Last bwt position of run p."""
-        return self.start.positions[p] - 1 if p < self.r else self.n
+        return self.starts[p] - 1
 
     def bwt_access(self, j):
-        return self.letters[self.run_of(j) - 1]
+        return bisect_right(self.C, self.img[self.run_of(j) - 1] - 1) - 1
 
     def rank_symbol(self, c, j):
         """Occurrences of c in bwt[1..j]."""
@@ -119,11 +139,8 @@ class RunLengthBWT(BackwardSearch):
         return min(cum[k - 1] + j - starts[k - 1] + 1, cum[k])
 
     def lf_step(self, j):
-        c = self.letters[self.run_of(j) - 1]
-        # j's own run is c's last run starting at or before j
-        starts = self.letter_starts[c]
-        k = bisect_right(starts, j)
-        return self.C[c] + self.lex_cum[c][k - 1] + j - starts[k - 1] + 1
+        q = bisect_right(self.starts, j)
+        return self.img[q - 1] + j - self.starts[q - 1]
 
     def backward_step(self, rng, c):
         """One backward-search step; returns the new range or None."""
@@ -134,20 +151,30 @@ class RunLengthBWT(BackwardSearch):
             return None
         return sp2, ep2
 
-    def toehold_run(self, sp, ep, c):
-        """How a step by c moves the toehold SA[ep]: 0 when it just drops
-        by one, else the run whose end sample it becomes; None when c does
-        not occur in bwt[sp..ep]."""
-        starts = self.letter_starts.get(c, ())
+    def toehold_step(self, sp, ep, c):
+        """backward_step with the toehold SA[ep]: returns (sp', ep', edge)
+        or None. edge is 0 when the toehold just drops by one (ep lies in
+        a c-run), else the end of the c-run whose sample it becomes. One
+        search for ep serves both; sp's is bounded by its result."""
+        starts = self.letter_starts.get(c)
+        if starts is None:
+            return None
         k = bisect_right(starts, ep)
         if not k:
             return None
+        cum = self.lex_cum[c]
+        base = self.C[c] + cum[k - 1] - starts[k - 1]
         # c's last run starting at or before ep: ep lies in it, or the
         # toehold becomes its end
-        cum = self.lex_cum[c]
-        if ep - starts[k - 1] < cum[k] - cum[k - 1]:
-            return 0
-        return self.run_of(starts[k - 1])
+        edge = starts[k - 1] + cum[k] - cum[k - 1] - 1
+        if ep <= edge:
+            ep2, edge = base + ep + 1, 0
+        else:
+            ep2 = base + edge + 1
+        k = bisect_right(starts, sp - 1, 0, k)
+        sp2 = self.C[c] + 1 + (k and min(cum[k - 1] + sp - starts[k - 1],
+                                         cum[k]))
+        return (sp2, ep2, edge) if sp2 <= ep2 else None
 
 
 def build_rlbwt(bundle):
@@ -156,4 +183,4 @@ def build_rlbwt(bundle):
     starts = np.concatenate(([1], np.flatnonzero(bwt[1:] != bwt[:-1]) + 2))
     return RunLengthBWT(bundle.n, bundle.text.sigma,
                         SparseBitvector(starts.tolist(), bundle.n),
-                        bwt[starts - 1].tolist())
+                        bwt[starts - 1])

@@ -44,8 +44,7 @@ class SrCsa(Subsampled):
     marks_l = property(lambda self: self.marks)
 
     def _direction(self):
-        runs = self.runs
-        return runs, self.sa_first, runs.psi, runs.run_start, runs.run_end
+        return self.runs, self.sa_first
 
     # own names: the benchmark's tracer replaces these in the class __dict__
     iphi = Subsampled.phi

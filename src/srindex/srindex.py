@@ -17,6 +17,16 @@ costs the same one search. offs and lim are built when the index is
 built or loaded and replace the format's tables (mark_map, valid,
 valid_area), which are derived from them again on write.
 
+Runs are read from flat per-run tables, a light form of the move tables
+of Nishimoto and Tabei (ICALP 2021): the run structure's starts (with an
+n + 1 sentinel) and img (LF or Psi of each run's first position), and
+the index's own slot[q], the samples_sub slot of run q's sample or 0
+when it was dropped. slot replaces the format's `removed` bitvector,
+which is derived from it on write. A position is resolved by a reused
+phi step, which searches only the marks, or by one search in starts:
+the run found gives its sample, or the walk step img[q-1] + j -
+starts[q-1] of the whole run piece. At depth s - 1, phi fills the rest.
+
 The full indexes are the subsampled ones at s = 1, where the sweep drops
 nothing: RIndex (rindex.py) is an SrIndex and RCsa (rcsa.py) an SrCsa, so
 all four locating kinds count and locate through this one core.
@@ -34,7 +44,9 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
-from .succinct import DenseBitvector, SparseBitvector
+import numpy as np
+
+from .succinct import WORD, DenseBitvector, SparseBitvector, uint_array
 
 INF = float("inf")
 
@@ -79,9 +91,10 @@ class Subsampled:
     lies in mark gap bisect_right(marks, v + PROBE), and phi gives
     v + offs[gap]; lim[gap] is SAFE when a reuse there is always safe,
     NEVER when it never is (variant 1), else the bound v must lie beyond
-    in direction DIR: reuse is safe when (lim[gap] - v) * DIR < 0. _direction()
-    gives the run structure, the toehold of the full range, the walk
-    step, the run edge that carries a sample (near) and the other (far).
+    in direction DIR: reuse is safe when (lim[gap] - v) * DIR < 0.
+    _direction() gives the run structure and the toehold of the full
+    range. A run's sample sits at its end on the BWT side and at its
+    start on the Psi side.
     """
 
     def __init__(self, n, s, variant, removed, samples_sub, marks, mark_map,
@@ -89,10 +102,32 @@ class Subsampled:
         self.n = n
         self.s = s
         self.variant = variant
-        self.removed = removed            # DenseBitvector over runs
-        self.samples_sub = samples_sub    # surviving samples, run order
+        self.samples_sub = uint_array(n, samples_sub)  # survivors, run order
+        self.slot = self._slots(removed, len(samples_sub))
         self.marks = marks                # SparseBitvector of the marks
         self.offs, self.lim = self._tables(mark_map, valid, valid_area)
+
+    @staticmethod
+    def _slots(removed, m):
+        """slot[q] for runs q = 1..r (slot[0] is 0): the samples_sub slot
+        of run q's sample, or 0 when the format's removed bit drops it.
+        removed is None for a full index, which keeps all its m samples."""
+        if removed is None:
+            return uint_array(m, np.arange(m + 1))
+        words = np.array(removed.words, dtype="<u8").view(np.uint8)
+        kept = 1 - np.unpackbits(words, count=removed.n,
+                                 bitorder="little").astype(np.int64)
+        return uint_array(removed.n, np.append(0, np.cumsum(kept) * kept))
+
+    @property
+    def removed(self):
+        """Per run, 1 when its sample was dropped: format v1's bitvector,
+        derived from slot."""
+        gone = np.frombuffer(self.slot, dtype=self.slot.typecode)[1:] == 0
+        bits = np.packbits(gone, bitorder="little")
+        words = np.zeros(-(-gone.size // WORD), dtype="<u8")
+        words.view(np.uint8)[:bits.size] = bits
+        return DenseBitvector.from_words(words.tolist(), gone.size)
 
     def _tables(self, mark_map, valid, valid_area):
         """offs and lim (None at variant 0) from the format's tables: the
@@ -162,7 +197,7 @@ class Subsampled:
         text positions. Returns the constructor arguments (removed,
         samples_sub, marks, mark_map, valid, valid_area).
         """
-        if full.removed.ones:
+        if 0 in full.slot[1:]:
             raise ValueError("only a full index can be subsampled")
         samples, n, sign = full.samples_sub, full.n, -cls.DIR
         _, dropped = subsample(sorted(sign * v for v in samples), s)
@@ -195,26 +230,28 @@ class Subsampled:
         """Backward search with deferred toehold resolution; returns
         (sp, ep, toehold) or None, the toehold being SA[ep] on the BWT side
         and SA[sp] on the Psi side."""
-        runs, toehold, step, near, _ = self._direction()
+        runs, toehold = self._direction()
         th = runs.toehold_search(syms)
         if th is None:
             return None
-        sp, ep, q, after = th
-        if q:
-            removed = self.removed
+        sp, ep, j, after = th
+        if j:
+            # j is the sampled edge of its run; while that run's sample
+            # is removed, walk on to the next kept one: at most s - 1
+            # steps, one search each
+            starts, img, slot = runs.starts, runs.img, self.slot
+            a = (1 - self.DIR) // 2
             k = 0
-            if removed.get(q):
-                # walk on to the next kept sample: at most s - 1 steps
-                j = near(q)
-                while True:
-                    j = step(j)
-                    k += 1
-                    q = runs.run_of(j)
-                    if j == near(q) and not removed.get(q):
-                        break
-                if counters is not None:
-                    counters.record(k)
-            toehold = self.samples_sub[removed.rank0(q) - 1] - self.DIR * k
+            while True:
+                q = bisect_right(starts, j)
+                t = slot[q]
+                if t and j == starts[q - 1 + a] - a:
+                    break
+                j = img[q - 1] + j - starts[q - 1]
+                k += 1
+            if k and counters is not None:
+                counters.record(k)
+            toehold = self.samples_sub[t - 1] - self.DIR * k
         return sp, ep, toehold - after
 
     def phi(self, i, check=False):
@@ -235,11 +272,15 @@ class Subsampled:
             return []
         sp, ep, v = th
         out = [v]
-        runs, _, step, near, far = self._direction()
-        run_of = runs.run_of
-        removed, samples = self.removed, self.samples_sub
-        marks, offs, lim = self.marks.positions, self.offs, self.lim
+        runs = self._direction()[0]
+        starts, img, slot = runs.starts, runs.img, self.slot
+        samples, marks = self.samples_sub, self.marks.positions
+        offs, lim = self.offs, self.lim
         d, shift, probe, s = self.DIR, self.SHIFT, self.PROBE, self.s
+        # run q spans starts[q-1] .. starts[q] - 1; its sampled edge is
+        # starts[q - 1 + a] - a (its end on the BWT side, its start on
+        # the Psi side), and its other edge starts[q - a] + a - 1
+        a = (1 - d) // 2
         # Frames (j, stop, k) report positions j, j + d, ..., stop, which
         # are the k-step images of query positions; v is always the SA
         # value reported last, that of the query position just behind j.
@@ -247,31 +288,38 @@ class Subsampled:
         stack = [(sp + 1, ep, 0)] if d > 0 else [(ep - 1, sp, 0)]
         while stack:
             j, stop, k = stack.pop()
+            # at depth s - 1 phi fills each run piece, so no reuse is
+            # asked for there
+            deeper = k + 1 < s
+            reuse = lim if deeper else None
             while (stop - j) * d >= 0:
-                q = run_of(j)
-                if j == near(q) and not removed.get(q):
-                    v = samples[removed.rank0(q) - 1] + shift - d * k
-                elif lim and (lim[g := bisect_right(marks, v + probe)]
+                if reuse and (reuse[g := bisect_right(marks, v + probe)]
                               - v) * d < 0:
                     v += offs[g]          # a reused phi step
                 else:
-                    # j up to the far edge of run q is one run piece: it
-                    # steps to a contiguous range one level deeper
-                    edge = far(q)
-                    if (stop - edge) * d < 0:
-                        edge = stop
-                    if k + 1 < s:
-                        stack.append((edge + d, stop, k))
-                        stack.append((step(j), step(edge), k + 1))
-                        break
-                    # at depth s - 1, phi alone fills the piece
-                    for _ in range((edge - j) * d + 1):
-                        v += offs[bisect_right(marks, v + probe)]
-                        if counters is not None:
-                            counters.record(k)
-                        out.append(v)
-                    j = edge + d
-                    continue
+                    q = bisect_right(starts, j)
+                    t = slot[q]
+                    if t and j == starts[q - 1 + a] - a:
+                        v = samples[t - 1] + shift - d * k
+                    else:
+                        # j up to the far edge of run q is one run piece:
+                        # it steps to a contiguous range one level deeper
+                        edge = starts[q - a] + a - 1
+                        if (stop - edge) * d < 0:
+                            edge = stop
+                        if deeper:
+                            step = img[q - 1] - starts[q - 1]
+                            stack.append((edge + d, stop, k))
+                            stack.append((j + step, edge + step, k + 1))
+                            break
+                        # at depth s - 1, phi alone fills the piece
+                        for _ in range((edge - j) * d + 1):
+                            v += offs[bisect_right(marks, v + probe)]
+                            if counters is not None:
+                                counters.record(k)
+                            out.append(v)
+                        j = edge + d
+                        continue
                 if counters is not None:
                     counters.record(k)
                 out.append(v)
@@ -316,8 +364,7 @@ class SrIndex(Subsampled):
                          mark_map, valid, valid_area)
 
     def _direction(self):
-        rl = self.rl
-        return rl, self.sa_last, rl.lf_step, rl.run_end, rl.run_start
+        return self.rl, self.sa_last
 
     # own names: the benchmark's tracer replaces these in the class __dict__
     phi = Subsampled.phi

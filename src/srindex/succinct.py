@@ -1,7 +1,12 @@
 """Succinct building blocks: bitvectors with rank, a sparse bitvector
-(Elias-Fano coded on disk), per-symbol rank/select over short sequences,
-increasing integer sequences (blocked Elias-delta coded on disk), and the
-Elias-delta code itself.
+(Elias-Fano coded on disk), the Elias-delta code, and the narrow integer
+arrays the indexes hold their per-run tables in.
+
+No index holds a DenseBitvector: it is the DENSE codec's value, which the
+loader decodes and the index turns into its own tables (the subsampled
+indexes' validity bits and `removed`). SymbolSequence and
+BlockedDeltaSeq are held by no index either; they stay only because the
+benchmark's tracer wraps their methods.
 
 Positions are 1-based throughout: rank1(i) counts ones among positions
 1..i.
@@ -10,8 +15,18 @@ Positions are 1-based throughout: rank1(i) counts ones among positions
 from array import array
 from bisect import bisect_left, bisect_right
 
+import numpy as np
+
 WORD = 64
 DEFAULT_BLOCK = 64  # values per block of an Elias-delta stream on disk
+
+
+def uint_array(bound, values):
+    """values, integers in 0..bound (a sequence or a numpy array), as an
+    array of the narrowest unsigned item type that holds bound: 1 to 8
+    bytes an item, where a list of ints costs about 36."""
+    code = next(c for c in "BHIQ" if bound >> 8 * array(c).itemsize == 0)
+    return array(code, np.asarray(values, dtype=code).tobytes())
 
 
 class DenseBitvector:
@@ -104,7 +119,7 @@ class SparseBitvector:
 
 class SymbolSequence:
     """rank/select over a short sequence of small integer symbols, kept as
-    per-symbol sorted position lists."""
+    per-symbol sorted position lists. No index holds one."""
 
     def __init__(self, seq):
         self.occ = {}
@@ -192,10 +207,9 @@ def _bits(buf, pos, count):
 
 
 class BlockedDeltaSeq:
-    """One symbol's Psi-run heads: strictly increasing non-negative
-    integers, held decoded in an array whose items fit a text of length n.
-    On disk they are blocked Elias-delta gap codes (the DELTAS codec in
-    envelope.py), which no query reads."""
+    """Strictly increasing non-negative integers, held decoded in an
+    array whose items fit a text of length n. No index holds one: the Psi
+    runs keep their heads in one flat table (rcsa.PsiRuns.img)."""
 
     def __init__(self, values, n):
         self.values = array("I" if n < 1 << 32 else "Q", values)

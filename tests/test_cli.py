@@ -85,17 +85,19 @@ class TestStats:
     @pytest.mark.parametrize("variant", [0, 2])
     def test_index_stats_memory(self, corpus, tmp_path, capsys, variant):
         # the loaded index's tables by in-memory bytes: the per-gap phi
-        # tables stand where the format's mark and validity tables were
+        # tables stand where the format's mark and validity tables were,
+        # the per-run sample slots where `removed` was
         idx = tmp_path / "ix.bin"
         run(["build", str(corpus), "-o", str(idx), "--kind", "sr-index",
              "--s", "4", "--variant", str(variant)], capsys)
         rc, out, _ = run(["stats", str(idx)], capsys)
         mem = json.loads(out)["memory_bytes"]
         assert rc == 0 and all(type(b) is int for b in mem.values())
-        for table in ("offs", "marks", "samples_sub", "removed", "rl.start",
-                      "rl.letter_starts", "rl.lex_cum"):
+        for table in ("offs", "marks", "samples_sub", "slot", "rl.starts",
+                      "rl.img", "rl.letter_starts", "rl.lex_cum"):
             assert mem[table] > 0, table
-        assert not {"mark_map", "valid", "valid_area"} & set(mem)
+        assert not {"mark_map", "valid", "valid_area", "removed",
+                    "rl.start", "rl.letters"} & set(mem)
         # 8 bytes or more per mark gap; lim is None at variant 0
         gaps = toolkit.load_index(idx.read_bytes()).ix.marks.ones + 1
         assert mem["offs"] >= 8 * gaps

@@ -1,12 +1,14 @@
 """Property-based oracle tests on adversarial texts: every kind, and the
 subsampled kinds at s = 1, 2 and n with variants 0, 1 and 2, must count
-and locate exactly what the naive scan finds, and a subsampled index's
-checked phi (iphi) must answer as the full index's or not at all."""
+and locate exactly what the naive scan finds, a subsampled index's
+checked phi (iphi) must answer as the full index's or not at all, and
+the per-run tables must agree with what they stand in for."""
 
 from bisect import bisect_left, bisect_right
 
 import pytest
 
+from srindex.envelope import deserialize, serialize
 from srindex.rcsa import build_rcsa
 from srindex.rindex import build_rindex
 from srindex.rlbwt import build_rlbwt
@@ -109,8 +111,11 @@ def test_checked_phi_is_full_phi_or_none(data):
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(data=TEXTS)
 def test_rank_by_symbol_matches_naive_counts(data):
-    # rank_symbol, lf_step and toehold_run search one symbol's run starts;
-    # naive counts over the BWT must agree for every symbol and position
+    # rank_symbol and toehold_step search one symbol's run starts, lf_step
+    # the run starts; naive counts over the BWT must agree for every
+    # symbol and position. toehold_step's edge is 0 when bwt[j] is c (the
+    # toehold SA[ep] just drops by one), else the last c before j, the
+    # end of the run whose sample the toehold becomes
     bundle = build_bundle(ingest(data))
     rl = build_rlbwt(bundle)
     n, sigma = bundle.n, rl.sigma
@@ -130,6 +135,84 @@ def test_rank_by_symbol_matches_naive_counts(data):
         for c in range(1, sigma + 1):
             assert rl.rank_symbol(c, j) == counts[c], (c, j)
             if j:
-                want = (None if not last[c] else 0 if last[c] == j
-                        else run_of[last[c]])
-                assert rl.toehold_run(1, j, c) == want, (c, j)
+                C = rl.C[c]
+                want = (None if not last[c] else
+                        (C + 1, C + counts[c], 0 if last[c] == j else last[c]))
+                assert rl.toehold_step(1, j, c) == want, (c, j)
+                if want and want[2]:
+                    assert rl.run_end(rl.run_of(want[2])) == want[2]
+                    assert rl.run_of(want[2]) == run_of[last[c]]
+                # the edge depends on ep alone; the range is backward_step's
+                sp = (j + 1) // 2
+                rng = rl.backward_step((sp, j), c)
+                want = None if rng is None else (*rng, want[2])
+                assert rl.toehold_step(sp, j, c) == want, (c, sp, j)
+
+
+def located(data, block):
+    """(label, index) for every locating kind, built and loaded: the full
+    indexes, and the subsampled ones at s = 1, 2 and 4 with variants 0, 1
+    and 2; plus the suffix-array bundle they come from."""
+    text = ingest(data)
+    bundle = build_bundle(text)
+    ri = build_rindex(bundle)
+    rc = build_rcsa(bundle, block)
+    built = [("r-index", ri), ("r-csa", rc)] + [
+        (f"{name} s={s} v={v}", sub(full, s, v))
+        for name, full, sub in (("sr-index", ri, subsample_rindex),
+                                ("sr-csa", rc, subsample_rcsa))
+        for s in (1, 2, 4) for v in (0, 1, 2)]
+    return bundle, built + [
+        (f"loaded {label}", deserialize(serialize(ix, text.alphabet))[0])
+        for label, ix in built]
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=TEXTS, block=st.sampled_from([1, 4, 64]))
+def test_per_run_tables_match_what_they_replace(data, block):
+    # starts, img and slot stand where run_of, lf_step/psi and `removed`
+    # were: a step read from img is LF (Psi) of every position, slot[q]
+    # is nonzero exactly when run q's sample survives and then points at
+    # it, and the flat heads' backward and toehold steps answer as a
+    # scan of c's block does, for every range end
+    bundle, indexes = located(data, block)
+    n = bundle.n
+    sa, isa, psi = bundle.sa.tolist(), bundle.isa.tolist(), bundle.psi.tolist()
+    for label, ix in indexes:
+        bwt_side = ix.DIR < 0
+        runs = ix.rl if bwt_side else ix.runs
+        starts, img, r = runs.starts, runs.img, runs.r
+        assert len(starts) == r + 1 and starts[0] == 1 and starts[r] == n + 1
+        for j in range(1, n + 1):
+            q = bisect_right(starts, j)
+            want = isa[(sa[j - 1] - 2) % n] if bwt_side else psi[j - 1]
+            assert img[q - 1] + j - starts[q - 1] == want, (label, j)
+        kept = set(ix.samples_sub)
+        assert len(ix.slot) == r + 1 and ix.slot[0] == 0
+        for q in range(1, r + 1):
+            # run q's sample: SA at its end minus one (BWT), SA at its head
+            sample = (sa[starts[q] - 2] - 1 if bwt_side
+                      else sa[starts[q - 1] - 1])
+            t = ix.slot[q]
+            assert (t != 0) == (sample in kept), (label, q)
+            assert not t or ix.samples_sub[t - 1] == sample, (label, q)
+        # the sr-CSAs hold the r-CSA's run structure (built) or one decoded
+        # from the same sections (loaded): scan the r-CSA's
+        if label not in ("r-csa", "loaded r-csa"):
+            continue
+        for c in range(1, runs.sigma + 1):
+            block_c = range(runs.C[c] + 1, runs.C[c + 1] + 1)
+            ends = [(1, x) for x in range(1, n + 1)] + [
+                (x, n) for x in range(2, n + 1)] + [
+                (x, x) for x in range(2, n)]
+            for sp, ep in ends:
+                hits = [i for i in block_c if sp <= psi[i - 1] <= ep]
+                want = (hits[0], hits[-1]) if hits else None
+                assert runs.backward_step((sp, ep), c) == want, (label, c)
+                if hits:
+                    # the toehold SA[sp] drops by one when sp is Psi of
+                    # the new sp, else it is the new sp's run head sample
+                    edge = 0 if psi[hits[0] - 1] == sp else hits[0]
+                    assert not edge or edge in starts
+                    want = (*want, edge)
+                assert runs.toehold_step(sp, ep, c) == want, (label, c)

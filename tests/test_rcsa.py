@@ -22,9 +22,11 @@ class TestCanonical:
         runs = rc.runs
         assert runs.r == 5
         assert runs.i_psi == [1, 2, 3, 4, 6]
-        assert rc.f_sa == [7, 6, 3, 4, 5]
-        assert [runs.head_value(q) for q in range(1, 6)] == [5, 1, 4, 6, 2]
-        assert [runs.tail_value(q) for q in range(1, 6)] == [5, 1, 4, 7, 3]
+        assert list(rc.f_sa) == [7, 6, 3, 4, 5]
+        # heads and tails in run order: img, and the derived tails section
+        assert list(runs.img) == [5, 1, 4, 6, 2]
+        assert [t for c in sorted(runs.tails) for t in runs.tails[c]] == [
+            5, 1, 4, 7, 3]
 
     def test_marks(self):
         _, _, rc = make(T1)

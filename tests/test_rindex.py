@@ -17,7 +17,7 @@ class TestCanonical:
     def test_marks_and_samples(self):
         _, _, ri = make(T1)
         assert [p - 1 for p in ri.first.positions] == [0, 3, 4, 5, 6]
-        assert ri.samples == [6, 2, 3, 0, 1]
+        assert list(ri.samples) == [6, 2, 3, 0, 1]
         assert ri.sa_last == 2
 
     def test_toehold(self):

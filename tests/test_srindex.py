@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -247,3 +248,110 @@ def test_reused_step_costs_one_mark_rank(kind, phi, marks, variant,
             assert kinds == ["lim"], kinds
             steps["refused"] += 1
     assert steps["reused"] and steps["phi"] + steps["refused"]
+
+
+LOCATING = [("r-index", None, 0), ("r-csa", None, 0)] + [
+    (kind, s, v) for kind in ("sr-index", "sr-csa") for s in (1, 4)
+    for v in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("kind,s,variant", LOCATING)
+def test_resolved_position_costs_one_run_search(kind, s, variant,
+                                                monkeypatch):
+    # locate and the toehold recovery walk search the run starts once for
+    # each position they resolve through its run: the search finds run q,
+    # slot[q] is read, and then exactly one of its sample (a position
+    # resolved at the run's sampled edge), img[q-1] (a piece or walk step
+    # one level deeper) or offs (phi filling a run piece at depth s - 1);
+    # and no sample or img is read without its own run search
+    data = toolkit.gen_corpus(2_000, 4, 0.01, seed=3)
+    bi = toolkit.build_index(data, kind, s=s, variant=variant, block=4)
+    ix = bi.ix
+    runs = ix._direction()[0]
+    starts = runs.starts
+    events = []
+    search = srindex.bisect_right
+
+    def logged_search(seq, x):
+        q = search(seq, x)
+        if seq is starts:
+            events.append(("run", q))
+        return q
+
+    monkeypatch.setattr(srindex, "bisect_right", logged_search)
+    ix.slot = Logged(ix.slot, "slot", events)
+    ix.samples_sub = Logged(ix.samples_sub, "sample", events)
+    ix.offs = Logged(ix.offs, "offs", events)
+    # the Psi side's backward search bisects img: keep those reads out
+    img, runs.img = runs.img, Logged(runs.img, "img", events)
+    toehold_search = runs.toehold_search
+
+    def quiet_toehold_search(syms):
+        logged, runs.img = runs.img, img
+        try:
+            return toehold_search(syms)
+        finally:
+            runs.img = logged
+
+    monkeypatch.setattr(runs, "toehold_search", quiet_toehold_search)
+    for i in range(0, len(data) - 8, 61):
+        pat = data[i:i + 8]
+        assert sorted(bi.locate(pat)) == naive_occurrences(data, pat)
+    after = {"sample": 0, "img": 0, "offs": 0}
+    for at, (what, x) in enumerate(events):
+        if what == "run":
+            assert events[at + 1] == ("slot", x), events[at:at + 3]
+            name, y = events[at + 2]
+            assert name in after and (name != "img" or y == x - 1)
+            after[name] += 1
+        elif what in ("sample", "img"):
+            assert events[at - 2][0] == "run", events[at - 2:at + 1]
+    assert after["sample"]
+    assert bool(after["img"]) == ((s or 1) > 1)
+
+
+@pytest.mark.parametrize("kind", ["sr-index", "sr-csa"])
+def test_depth_s_minus_1_costs_no_reuse_question(kind, monkeypatch):
+    # at depth s - 1, which is every depth at s = 1, phi fills each run
+    # piece: variant 2 asks no reuse question there, so it makes exactly
+    # variant 0's searches of the marks and of the run starts
+    data = toolkit.gen_corpus(2_000, 4, 0.01, seed=3)
+    search = srindex.bisect_right
+    logs = []
+    for bi in [toolkit.build_index(data, kind, s=1, variant=variant)
+               for variant in (0, 2)]:
+        tables = {id(bi.ix.marks.positions): "marks",
+                  id(bi.ix._direction()[0].starts): "run"}
+        log = []
+        monkeypatch.setattr(
+            srindex, "bisect_right",
+            lambda seq, x: log.append((tables[id(seq)], x))
+            or search(seq, x))
+        for i in range(0, len(data) - 8, 61):
+            pat = data[i:i + 8]
+            assert sorted(bi.locate(pat)) == naive_occurrences(data, pat)
+        logs.append(log)
+    assert logs[0] == logs[1] and len(logs[0]) > 100
+
+
+@pytest.mark.parametrize("kind", ["r-index", "r-csa"])
+def test_toehold_step_makes_two_searches(kind, monkeypatch):
+    # a locate's backward search shares each step's ep search between the
+    # range and the toehold: at most two searches per step, as count
+    # makes (three, 53 against count's 32 on a 16-symbol pattern, when
+    # the toehold had a search of its own)
+    data = toolkit.gen_corpus(20_000, 4, 0.001, seed=2)
+    bi = toolkit.build_index(data, kind, block=4)
+    runs = bi.ix._direction()[0]
+    module = importlib.import_module(type(runs).__module__)
+    calls = []
+    search = module.bisect_right
+    monkeypatch.setattr(module, "bisect_right",
+                        lambda *a: calls.append(1) or search(*a))
+    rng = random.Random(4)
+    for _ in range(40):
+        i = rng.randrange(len(data) - 16)
+        syms = bi.map_pattern(data[i:i + 16])
+        del calls[:]
+        th = runs.toehold_search(syms)
+        assert th is not None and len(calls) <= 2 * len(syms)

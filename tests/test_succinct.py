@@ -386,7 +386,7 @@ class TestBlockedDeltaSeq:
         data = b"abracadabra" * 20 + b"cadabra" * 7
         blob = toolkit.build_index(data, "r-csa", block=4).serialize()
         ix = toolkit.load_index(blob).ix
-        sizes = [len(seq.values) for seq in ix.runs.heads.values()]
+        sizes = [len(seq) for seq in ix.runs.heads.values()]
         want = sum(m - -(-m // 4) for m in sizes)
         calls = counting_reads(monkeypatch)
         toolkit.load_index(blob)

@@ -179,7 +179,7 @@ class TestBuilders:
                         ri.mark_map, [ri.sa_last])
         runs = build_psi_runs(b)
         assert all_ints(runs.C, runs.i_psi, runs.first_run,
-                        *(seq.values for seq in runs.heads.values()))
+                        runs.img, *runs.heads.values())
         rc = build_rcsa(b)
         assert all_ints(rc.f_sa, rc.marks_l.positions, rc.mark_map,
                         rc.runs.C, rc.runs.i_psi)

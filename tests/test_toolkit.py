@@ -349,10 +349,9 @@ class TestEnvelope:
         ("sr-index", 4, 1, edit_section(
             "valid", DENSE, lambda bv, h: DenseBitvector.from_words(
                 [], bv.n)), "dense"),
-        ("sr-index", 4, 0, lambda ix: setattr(
-            ix, "removed", DenseBitvector.from_words(
-                [ix.removed.words[0] | 1 << ix.removed.n], ix.removed.n)),
-         "dense"),
+        ("sr-index", 4, 0, edit_section(
+            "removed", DENSE, lambda bv, h: DenseBitvector.from_words(
+                [bv.words[0] | 1 << bv.n], bv.n)), "dense"),
         ("sr-index", 4, 0, edit_section(
             "marks", SPARSE, lambda bv, h: SparseBitvector(
                 bv.positions[:1] * 2 + bv.positions[2:], bv.n)),
@@ -529,6 +528,26 @@ class TestEnvelope:
         with pytest.raises(envelope.FormatError, match=match):
             toolkit.load_index(edit(blob))
 
+    def test_alphabet_larger_than_section_rejected(self):
+        # a header sigma of 2**40 over a 4-symbol alphabet section used to
+        # make the loader build per-symbol tables for 2**40 symbols
+        blob = toolkit.build_index(b"abracadabra", "rlbwt").serialize()
+        bad = resealed(blob[:20] + struct.pack("<Q", 1 << 40) + blob[28:])
+        with time_limit(10), pytest.raises(envelope.FormatError,
+                                           match="alphabet"):
+            toolkit.load_index(bad)
+
+    def test_text_too_long_rejected(self):
+        # a run table that fits its header, for a text too long for the
+        # run tables' int64 arithmetic: rejected, not an OverflowError
+        blob = toolkit.build_index(b"abracadabra", "rlbwt").serialize()
+        for n in ((1 << 63) - 1, (1 << 64) - 1):
+            bad = edit_section("start", SPARSE, lambda bv, h: SparseBitvector(
+                bv.positions, n))(blob)
+            bad = resealed(bad[:12] + struct.pack("<Q", n) + bad[20:])
+            with pytest.raises(envelope.FormatError, match="64-bit"):
+                toolkit.load_index(bad)
+
     def test_packed_ints_match_or_fold(self):
         rng = random.Random(64)
         for width in range(1, 71):
@@ -558,10 +577,11 @@ LOCATING_BUILDS = [("r-index", None, 0), ("r-csa", None, 0)] + [
 class TestOneCopy:
     @pytest.mark.parametrize("kind,s,variant", LOCATING_BUILDS)
     def test_tables_built_once(self, kind, s, variant):
-        # every table is built with the index, built or loaded: queries
-        # add or replace none and grow none, the format's mark and
-        # validity tables are never held, and loading then writing gives
-        # back the same bytes
+        # every table is built with the index, built or loaded: 50
+        # queries add or replace none, grow none and change no per-run
+        # table, the format's mark, validity, `removed` and run tables
+        # (heads, start, letters) are never held, and loading then writing
+        # gives back the same bytes
         data = toolkit.gen_corpus(400, 3, 0.02, seed=5)
         built = toolkit.build_index(data, kind, s=s, variant=variant,
                                     block=4)
@@ -576,10 +596,16 @@ class TestOneCopy:
             def state():
                 return ({k: id(v) for k, v in vars(ix).items()},
                         {k: id(v) for k, v in vars(runs).items()},
-                        toolkit.memory_bytes(ix))
+                        toolkit.memory_bytes(ix),
+                        # the per-run tables' contents
+                        [list(t) for t in (ix.slot, ix.samples_sub,
+                                           runs.starts, runs.img)])
 
             before = state()
-            assert not {"mark_map", "valid", "valid_area"} & set(vars(ix))
+            assert not {"mark_map", "valid", "valid_area",
+                        "removed"} & set(vars(ix))
+            assert not {"heads", "tails", "i_psi", "start",
+                        "letters"} & set(vars(runs))
             for pat in sample_patterns(rng, data, 25, 1, 10):
                 occ, want = oracle_search(ingest(data), pat)
                 assert bi.count(pat) == occ
