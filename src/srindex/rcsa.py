@@ -84,40 +84,19 @@ class PsiRuns(BackwardSearch):
         q = bisect_right(self.starts, i)
         return self.img[q - 1] + i - self.starts[q - 1]
 
-    def backward_step(self, rng, c):
-        """Positions in the c-block whose Psi value lies in rng, or None.
+    def backward_step(self, sp, ep, c):
+        """One backward step by c with the toehold SA[sp]: returns
+        (sp', ep', edge), or None when no position of c's block has its
+        Psi value in sp..ep.
 
         Psi increases along the block, by one within a run. Each end of
-        rng falls in or after the run with the last head <= it: ep maps to
-        its offset in that run, capped at the run's end, and sp to its
-        offset, or to just past the run's end. sp's search is bounded by
-        ep's result.
+        the range falls in or after the run with the last head <= it: ep
+        maps to its offset in that run, capped at the run's end, and sp
+        to its offset, or to just past the run's end. sp's search is
+        bounded by ep's result. edge is 0 when the toehold just drops by
+        one (sp lies inside a run of c's block), else the first position
+        of the run whose head sample it becomes.
         """
-        sp, ep = rng
-        img, starts = self.img, self.starts
-        lo = self.first_run[c] - 1
-        k = bisect_right(img, ep, lo, self.first_run[c + 1] - 1)
-        if k == lo:
-            return None
-        ep2 = starts[k - 1] + ep - img[k - 1]
-        end = starts[k] - 1
-        if ep2 > end:
-            ep2 = end
-        k = bisect_right(img, sp, lo, k)
-        if k == lo:
-            sp2 = starts[lo]
-        else:
-            sp2 = starts[k - 1] + sp - img[k - 1]
-            end = starts[k]
-            if sp2 > end:
-                sp2 = end
-        return (sp2, ep2) if sp2 <= ep2 else None
-
-    def toehold_step(self, sp, ep, c):
-        """backward_step with the toehold SA[sp]: returns (sp', ep', edge)
-        or None. edge is 0 when the toehold just drops by one (sp lies
-        inside a run of c's block), else the first position of the run
-        whose head sample it becomes. sp's search gives both."""
         img, starts = self.img, self.starts
         lo = self.first_run[c] - 1
         k = bisect_right(img, ep, lo, self.first_run[c + 1] - 1)

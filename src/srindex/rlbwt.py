@@ -12,8 +12,8 @@ write. bwt positions, runs and symbols are all 1-based.
 
 Counting occurrences of c in bwt[1..j] is one search: the last c-run
 starting at or before j holds the answer, its cumulative length capped at
-that run's end. A backward step is two such searches, an LF step one
-search in starts.
+that run's end. A backward step is two such searches, sp's bounded by
+ep's result; an LF step is one search in starts.
 """
 
 from bisect import bisect_right
@@ -25,21 +25,21 @@ from .succinct import SparseBitvector, uint_array
 
 class BackwardSearch:
     """Backward search, shared by both run structures: a subclass provides
-    n, sigma, starts, img, backward_step(range, c) and
-    toehold_step(sp, ep, c). toehold_step is backward_step that also
-    tells where the toehold goes, from the same two searches; count keeps
-    the leaner backward_step."""
+    n, sigma and backward_step(sp, ep, c), one step that returns the new
+    range and where the toehold goes, from two searches. count drops the
+    toehold; locate's toehold_search follows it."""
 
     def count_range(self, syms):
         """Backward search for a symbol list; suffix range or None."""
-        rng = (1, self.n)
+        sp, ep = 1, self.n
         for c in reversed(syms):
             if not 1 <= c <= self.sigma:
                 return None
-            rng = self.backward_step(rng, c)
-            if rng is None:
+            step = self.backward_step(sp, ep, c)
+            if step is None:
                 return None
-        return rng
+            sp, ep, _ = step
+        return sp, ep
 
     def count(self, syms):
         rng = self.count_range(syms)
@@ -52,14 +52,14 @@ class BackwardSearch:
         Returns None when syms does not occur, else (sp, ep, j, after): the
         toehold is the sample at position j, the sampled edge of its
         run, minus `after`, or, when j is 0, that of the full range minus
-        `after`. Each step is toehold_step's two searches.
+        `after`. Each step is backward_step's two searches.
         """
         sp, ep = 1, self.n
         j = after = 0
         for c in reversed(syms):
             if not 1 <= c <= self.sigma:
                 return None
-            step = self.toehold_step(sp, ep, c)
+            step = self.backward_step(sp, ep, c)
             if step is None:
                 return None
             sp, ep, edge = step
@@ -114,66 +114,40 @@ class RunLengthBWT(BackwardSearch):
         img = np.frombuffer(self.img, dtype=self.img.typecode)
         return (np.searchsorted(self.C, img) - 1).tolist()
 
-    def run_of(self, j):
-        """Index of the run containing bwt position j."""
-        return bisect_right(self.starts, j)
-
-    def run_start(self, p):
-        """First bwt position of run p."""
-        return self.starts[p - 1]
-
-    def run_end(self, p):
-        """Last bwt position of run p."""
-        return self.starts[p] - 1
-
-    def bwt_access(self, j):
-        return bisect_right(self.C, self.img[self.run_of(j) - 1] - 1) - 1
-
-    def rank_symbol(self, c, j):
-        """Occurrences of c in bwt[1..j]."""
-        starts = self.letter_starts.get(c, ())
-        k = bisect_right(starts, j)
-        if not k:
-            return 0
-        cum = self.lex_cum[c]
-        return min(cum[k - 1] + j - starts[k - 1] + 1, cum[k])
-
     def lf_step(self, j):
         q = bisect_right(self.starts, j)
         return self.img[q - 1] + j - self.starts[q - 1]
 
-    def backward_step(self, rng, c):
-        """One backward-search step; returns the new range or None."""
-        sp, ep = rng
-        sp2 = self.C[c] + self.rank_symbol(c, sp - 1) + 1
-        ep2 = self.C[c] + self.rank_symbol(c, ep)
-        if sp2 > ep2:
-            return None
-        return sp2, ep2
-
-    def toehold_step(self, sp, ep, c):
-        """backward_step with the toehold SA[ep]: returns (sp', ep', edge)
-        or None. edge is 0 when the toehold just drops by one (ep lies in
-        a c-run), else the end of the c-run whose sample it becomes. One
-        search for ep serves both; sp's is bounded by its result."""
+    def backward_step(self, sp, ep, c):
+        """One backward step by c with the toehold SA[ep]: returns
+        (sp', ep', edge), or None when c does not occur in bwt[sp..ep].
+        sp' and ep' are C[c] plus the occurrences of c before sp, and up
+        to ep, plus one and plus zero. edge is 0 when the toehold just
+        drops by one (ep lies in a c-run), else the end of the c-run whose
+        sample it becomes. One search for ep serves both; sp's is bounded
+        by its result."""
         starts = self.letter_starts.get(c)
         if starts is None:
             return None
         k = bisect_right(starts, ep)
         if not k:
             return None
-        cum = self.lex_cum[c]
-        base = self.C[c] + cum[k - 1] - starts[k - 1]
+        cum, base = self.lex_cum[c], self.C[c] + 1
         # c's last run starting at or before ep: ep lies in it, or the
         # toehold becomes its end
         edge = starts[k - 1] + cum[k] - cum[k - 1] - 1
         if ep <= edge:
-            ep2, edge = base + ep + 1, 0
+            ep2, edge = base + cum[k - 1] + ep - starts[k - 1], 0
         else:
-            ep2 = base + edge + 1
+            ep2 = base + cum[k] - 1
         k = bisect_right(starts, sp - 1, 0, k)
-        sp2 = self.C[c] + 1 + (k and min(cum[k - 1] + sp - starts[k - 1],
-                                         cum[k]))
+        if k:
+            # sp - 1 in or past c's run k, capped at the run's end
+            sp2 = base + cum[k - 1] + sp - starts[k - 1]
+            if sp2 > base + cum[k]:
+                sp2 = base + cum[k]
+        else:
+            sp2 = base
         return (sp2, ep2, edge) if sp2 <= ep2 else None
 
 

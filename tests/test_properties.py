@@ -111,19 +111,21 @@ def test_checked_phi_is_full_phi_or_none(data):
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(data=TEXTS)
 def test_rank_by_symbol_matches_naive_counts(data):
-    # rank_symbol and toehold_step search one symbol's run starts, lf_step
-    # the run starts; naive counts over the BWT must agree for every
-    # symbol and position. toehold_step's edge is 0 when bwt[j] is c (the
-    # toehold SA[ep] just drops by one), else the last c before j, the
-    # end of the run whose sample the toehold becomes
+    # backward_step searches one symbol's run starts, lf_step the run
+    # starts; naive counts over the BWT must agree for every symbol and
+    # position, at both ends of the range. backward_step's edge is 0 when
+    # bwt[j] is c (the toehold SA[ep] just drops by one), else the last c
+    # before j, the end of the run whose sample the toehold becomes
     bundle = build_bundle(ingest(data))
     rl = build_rlbwt(bundle)
     n, sigma = bundle.n, rl.sigma
     bwt = bundle.bwt.tolist()
     sa, isa = bundle.sa.tolist(), bundle.isa.tolist()
+    total = [bwt.count(c) for c in range(sigma + 1)]
     counts = [0] * (sigma + 1)
     last = [0] * (sigma + 1)        # last position of c in bwt[1..j]
     run_of = [0]                    # run_of[j], counted from the bwt
+    before = []                     # before[j][c]: c in bwt[1..j]
     for j in range(n + 1):
         if j:
             c = bwt[j - 1]
@@ -132,21 +134,31 @@ def test_rank_by_symbol_matches_naive_counts(data):
             run_of.append(run_of[-1] + (j == 1 or c != bwt[j - 2]))
             # SA[LF(j)] = SA[j] - 1, cyclically
             assert rl.lf_step(j) == isa[(sa[j - 1] - 2) % n], j
+        before.append(counts[:])
         for c in range(1, sigma + 1):
-            assert rl.rank_symbol(c, j) == counts[c], (c, j)
+            C = rl.C[c]
+            # sp' counts c in bwt[1..j] when the range starts at j + 1
+            after = total[c] - counts[c]
+            want = (C + counts[c] + 1, C + total[c]) if after else None
+            step = rl.backward_step(j + 1, n, c)
+            assert (step and step[:2]) == want, (c, j)
             if j:
-                C = rl.C[c]
                 want = (None if not last[c] else
                         (C + 1, C + counts[c], 0 if last[c] == j else last[c]))
-                assert rl.toehold_step(1, j, c) == want, (c, j)
+                assert rl.backward_step(1, j, c) == want, (c, j)
                 if want and want[2]:
-                    assert rl.run_end(rl.run_of(want[2])) == want[2]
-                    assert rl.run_of(want[2]) == run_of[last[c]]
-                # the edge depends on ep alone; the range is backward_step's
+                    # the edge ends a run, the one that holds last[c]
+                    q = bisect_right(rl.starts, want[2])
+                    assert rl.starts[q] - 1 == want[2]
+                    assert q == run_of[last[c]]
+                # the edge depends on ep alone; the range counts c on
+                # both sides of sp
                 sp = (j + 1) // 2
-                rng = rl.backward_step((sp, j), c)
-                want = None if rng is None else (*rng, want[2])
-                assert rl.toehold_step(sp, j, c) == want, (c, sp, j)
+                lo = C + before[sp - 1][c] + 1
+                edge = want and want[2]
+                want = (lo, C + counts[c], edge) if lo <= C + counts[c] \
+                    else None
+                assert rl.backward_step(sp, j, c) == want, (c, sp, j)
 
 
 def located(data, block):
@@ -207,12 +219,11 @@ def test_per_run_tables_match_what_they_replace(data, block):
                 (x, x) for x in range(2, n)]
             for sp, ep in ends:
                 hits = [i for i in block_c if sp <= psi[i - 1] <= ep]
-                want = (hits[0], hits[-1]) if hits else None
-                assert runs.backward_step((sp, ep), c) == want, (label, c)
+                want = None
                 if hits:
                     # the toehold SA[sp] drops by one when sp is Psi of
                     # the new sp, else it is the new sp's run head sample
                     edge = 0 if psi[hits[0] - 1] == sp else hits[0]
                     assert not edge or edge in starts
-                    want = (*want, edge)
-                assert runs.toehold_step(sp, ep, c) == want, (label, c)
+                    want = (hits[0], hits[-1], edge)
+                assert runs.backward_step(sp, ep, c) == want, (label, c)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 from conftest import naive_occurrences, random_text, sample_patterns
 from srindex.rlbwt import build_rlbwt
@@ -19,15 +20,15 @@ class TestCanonical:
         assert rl.r == 5
         assert rl.start.positions == [1, 2, 4, 5, 6]
         assert rl.letters == [2, 3, 2, 1, 2]   # a b a $ a
-        assert [rl.run_end(p) - rl.run_start(p) + 1
-                for p in range(1, 6)] == [1, 2, 1, 1, 2]
+        # run q spans starts[q-1] .. starts[q] - 1
+        assert rl.starts == [1, 2, 4, 5, 6, 8]
         # C for $=1, a=2, b=3
         assert rl.C[1:5] == [0, 1, 5, 7]
 
     def test_access_and_lf(self):
         _, b, rl = make(T1)
         for j in range(1, 8):
-            assert rl.bwt_access(j) == b.bwt[j - 1]
+            assert rl.letters[bisect_right(rl.starts, j) - 1] == b.bwt[j - 1]
             # definitional LF: SA[LF(j)] = SA[j]-1 (cyclically)
             assert b.sa[rl.lf_step(j) - 1] == (b.sa[j - 1] - 2) % 7 + 1
 
@@ -46,12 +47,18 @@ class TestRandom:
             data = random_text(rng, rng.randrange(2, 200), rng.choice([2, 4]))
             t, b, rl = make(data)
             n = t.n
+            letters = rl.letters
             for j in range(1, n + 1):
-                assert rl.bwt_access(j) == b.bwt[j - 1]
+                assert letters[bisect_right(rl.starts, j) - 1] == b.bwt[j - 1]
                 assert b.sa[rl.lf_step(j) - 1] == (b.sa[j - 1] - 2) % n + 1
+            # a step from (1, j) counts c in bwt[1..j]
             for c in range(1, t.sigma + 1):
                 for j in range(n + 1):
-                    assert rl.rank_symbol(c, j) == b.bwt[:j].tolist().count(c)
+                    k = b.bwt[:j].tolist().count(c)
+                    C = rl.C[c]
+                    want = (C + 1, C + k) if k else None
+                    step = rl.backward_step(1, j, c)
+                    assert (step and step[:2]) == want
             # psi and lf are mutually inverse
             for j in range(1, n + 1):
                 assert b.psi[rl.lf_step(j) - 1] == j
@@ -71,8 +78,10 @@ class TestRandom:
         rng = random.Random(12)
         data = random_text(rng, 120, 2)
         _, b, rl = make(data)
+        # run p ends at starts[p] - 1, and a search of starts finds it there
         for p in range(1, rl.r + 1):
-            e = rl.run_end(p)
-            assert rl.run_of(e) == p
+            e = rl.starts[p] - 1
+            assert bisect_right(rl.starts, e) == p
             if e < rl.n:
-                assert rl.run_of(e + 1) == p + 1
+                assert bisect_right(rl.starts, e + 1) == p + 1
+                assert b.bwt[e - 1] != b.bwt[e]

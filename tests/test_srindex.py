@@ -335,7 +335,7 @@ def test_depth_s_minus_1_costs_no_reuse_question(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["r-index", "r-csa"])
-def test_toehold_step_makes_two_searches(kind, monkeypatch):
+def test_toehold_search_makes_two_searches_a_step(kind, monkeypatch):
     # a locate's backward search shares each step's ep search between the
     # range and the toehold: at most two searches per step, as count
     # makes (three, 53 against count's 32 on a 16-symbol pattern, when
