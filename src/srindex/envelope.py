@@ -15,19 +15,32 @@ phi tables and `removed` into their per-run sample slots, and keep no
 copy of them; the run-length BWT turns `start` and `letters` into its
 per-run starts and LF images; the Psi runs lay the per-symbol heads end
 to end and drop their tails. Those sections are derived again on write,
-as attributes of the same names. The load path checks
-the checksum, that the header fits the kind, that the sections are
-exactly the ones the table names for the kind and variant and tile the
-body, that each codec reads its whole section and finds the bytes its
-encoder would write, the invariants in CHECKS, and the ones the
-constructors check (a Psi run's tail against its head and length). So an
-index has exactly one envelope.
+as attributes of the same names.
+
+The codecs are array work, in both directions. Packed ints (INTS, the
+Elias-Fano low parts, the delta anchors) are one gather of 64-bit words
+with a shift and a mask per value, and one OR-reduce per word on write;
+an Elias-Fano high part is unpacked to bits and its ones found with
+flatnonzero; a dense bitvector is its words read in one go. INTS decodes
+to a numpy array, which CHECKS compares as a whole; only values wider
+than 64 bits, which no index writes, take a big-int path. The DELTAS
+codec stays one delta_read per code, a Python step each: it is the Psi
+side's load time.
+
+The load path checks the checksum, that the header fits the kind, that
+the sections are exactly the ones the table names for the kind and
+variant and tile the body, that each codec reads its whole section and
+finds the bytes its encoder would write, the invariants in CHECKS, and
+the ones the constructors check (a Psi run's tail against its head and
+length). So an index has exactly one envelope.
 """
 
 import struct
+import time
 import zlib
-from bisect import bisect_right
 from itertools import accumulate
+
+import numpy as np
 
 from .rcsa import PsiRuns, RCsa
 from .rindex import RIndex
@@ -36,6 +49,8 @@ from .srcsa import SrCsa
 from .srindex import SrIndex
 from . import succinct
 from .succinct import WORD, DenseBitvector, SparseBitvector, delta_append
+
+WORDS = np.dtype("<u8")  # the payload words of packed ints and bitvectors
 
 MAGIC = b"SRIX"
 FORMAT_VERSION = 1
@@ -46,62 +61,101 @@ class FormatError(ValueError):
 
 
 def pack_ints(values):
-    """Fixed-width bit packing; returns bytes (width, count, payload)."""
-    width = max((v.bit_length() for v in values), default=0)
-    width = max(width, 1)
-    fmt = f"0{width}b"
-    # one join and one base-2 parse, linear in the payload; OR-ing each
-    # value into one growing int would copy the int once per value
-    bits = "".join(format(v, fmt) for v in reversed(values))
-    payload = int("0" + bits, 2).to_bytes((len(bits) + 7) // 8, "little")
-    return struct.pack("<BQ", width, len(values)) + payload
+    """Fixed-width bit packing; returns bytes (width, count, payload).
+    values is any sequence of non-negative ints, or a numpy array."""
+    try:
+        vals = np.asarray(values, dtype=np.uint64)
+    except OverflowError:                           # wider than 64 bits
+        vals = np.asarray(values, dtype=object)
+    count = len(vals)
+    width = max(int(vals.max()).bit_length(), 1) if count else 1
+    head = struct.pack("<BQ", width, count)
+    if not count:
+        return head
+    if width > 64:
+        # one join and one base-2 parse, linear in the payload; no v1
+        # index writes values this wide
+        bits = "".join(format(v, f"0{width}b") for v in reversed(values))
+        return head + int(bits, 2).to_bytes((len(bits) + 7) // 8, "little")
+    # value i is bits [i * width, (i + 1) * width) of the payload: it ORs
+    # into the word it starts in, and spills into the next one when it
+    # crosses that word's end
+    q, sh = _slots(count, width)
+    words = np.zeros(q[-1] + 2, dtype=WORDS)
+    first = np.flatnonzero(np.diff(q, prepend=-1))  # first value per word
+    words[q[first]] = np.bitwise_or.reduceat(vals << sh, first)
+    cross = sh + width > 64                         # at most one per word
+    words[q[cross] + 1] |= vals[cross] >> (64 - sh[cross])
+    return head + words.view(np.uint8)[:(width * count + 7) // 8].tobytes()
+
+
+def _slots(count, width):
+    """For values 0..count-1 of width bits packed end to end: the 64-bit
+    word each starts in and its bit offset there."""
+    bit = np.arange(count, dtype=np.uint64) * np.uint64(width)
+    return (bit >> 6).astype(np.intp), bit & 63
 
 
 def unpack_ints(blob):
-    values, end = _ints_at(blob, 0)
+    """pack_ints bytes -> list of the values."""
+    return _ints_array(blob).tolist()
+
+
+def _ints_array(blob):
+    """The INTS codec's decoder: pack_ints bytes that fill blob -> array."""
+    values, end = _ints_at(blob, 0, array=True)
     if end != len(blob):
         raise ValueError("packed ints do not end at their section's end")
     return values
 
 
-def _ints_at(blob, off):
-    """pack_ints payload at offset off -> (values, offset after it). Raises
-    ValueError on a count the bytes cannot hold, and on bytes pack_ints
-    would not write: stray bits past the last value, or a width wider
-    than the largest value needs."""
+def _ints_at(blob, off, array=False):
+    """pack_ints payload at offset off -> (values, offset after it), the
+    values a list, or with array a numpy array (uint64, or object for
+    widths above 64). Raises ValueError on a count the bytes cannot hold,
+    and on bytes pack_ints would not write: stray bits past the last
+    value, or a width wider than the largest value needs."""
     width, count = struct.unpack_from("<BQ", blob, off)
     nbits = width * count
-    end = off + 9 + (nbits + 7) // 8
+    nbytes = (nbits + 7) // 8
+    end = off + 9 + nbytes
     if not width or end > len(blob):
-        # a count the bytes cannot hold would decode as zeros, slowly
+        # checked before anything of that count is allocated
         raise ValueError(f"{count} packed ints of {width} bits run past "
                          "their section")
-    acc = int.from_bytes(blob[off + 9:end], "little")
-    if acc >> nbits:
+    if nbits % 8 and blob[end - 1] >> nbits % 8:
         raise ValueError("packed ints have stray bits past their last value")
-    # value i is bits [i * width, (i + 1) * width) of acc, so it counts
-    # back from the end of acc's base-2 string
-    bits = format(acc, f"0{nbits}b")
-    values = [int(bits[j - width:j], 2) for j in range(nbits, 0, -width)]
-    if width != max(max(values, default=0).bit_length(), 1):
+    if width > 64:
+        # value i is bits [i * width, (i + 1) * width) of the payload, so
+        # it counts back from the end of the payload's base-2 string
+        bits = format(int.from_bytes(blob[off + 9:end], "little"),
+                      f"0{nbits}b")
+        values = np.array([int(bits[j - width:j], 2)
+                           for j in range(nbits, 0, -width)], dtype=object)
+    else:
+        # one gather: each value from the word it starts in and the next
+        words = np.zeros(nbytes // 8 + 2, dtype=WORDS)
+        words.view(np.uint8)[:nbytes] = np.frombuffer(blob, np.uint8,
+                                                      nbytes, off + 9)
+        q, sh = _slots(count, width)
+        values = ((words[q] >> sh | words[q + 1] << (64 - sh))
+                  & np.uint64((1 << width) - 1))
+    if width != max(int(values.max()).bit_length() if count else 0, 1):
         raise ValueError("packed ints are wider than their largest value")
-    return values, end
+    return (values if array else values.tolist()), end
 
 
 def _dense_bytes(bv):
-    return struct.pack("<Q", bv.n) + b"".join(
-        w.to_bytes(8, "little") for w in bv.words)
+    return struct.pack("<Q", bv.n) + np.array(bv.words, dtype=WORDS).tobytes()
 
 
 def _dense_from(blob):
     (n,) = struct.unpack_from("<Q", blob, 0)
-    raw = blob[8:]
-    if len(raw) != 8 * -(-n // WORD) or int.from_bytes(raw, "little") >> n:
+    words = np.frombuffer(blob, WORDS, (len(blob) - 8) // 8, 8)
+    if (len(blob) != 8 + 8 * -(-n // WORD)
+            or n % WORD and words[-1] >> np.uint64(n % WORD)):
         raise FormatError("dense bitvector length mismatch")
-    words = [
-        int.from_bytes(raw[i:i + 8], "little") for i in range(0, len(raw), 8)
-    ]
-    return DenseBitvector.from_words(words, n)
+    return DenseBitvector.from_words(words.tolist(), n)
 
 
 def _sparse_bytes(bv):
@@ -111,14 +165,13 @@ def _sparse_bytes(bv):
     bitvector where the k-th one (from 0) sits at bit high_k + k."""
     n, ones = bv.n, bv.ones
     low_bits, high_n = _ef_shape(n, ones)
-    mask = (1 << low_bits) - 1
-    high = bytearray(8 * -(-high_n // WORD))  # 64-bit little-endian words
-    for k, p in enumerate(bv.positions):
-        i = ((p - 1) >> low_bits) + k
-        high[i >> 3] |= 1 << (i & 7)
+    pos = np.asarray(bv.positions, dtype=np.uint64) - np.uint64(1)
+    high = np.zeros(WORD * -(-high_n // WORD), dtype=np.uint8)
+    high[(pos >> np.uint64(low_bits)).astype(np.intp) + np.arange(ones)] = 1
     return (struct.pack("<QQB", n, ones, low_bits)
-            + pack_ints([(p - 1) & mask for p in bv.positions])
-            + struct.pack("<Q", high_n) + bytes(high))
+            + pack_ints(pos & np.uint64((1 << low_bits) - 1))
+            + struct.pack("<Q", high_n)
+            + np.packbits(high, bitorder="little").tobytes())
 
 
 def _ef_shape(n, ones):
@@ -129,32 +182,30 @@ def _ef_shape(n, ones):
 
 
 def _sparse_from(blob):
-    """Decode _sparse_bytes in one pass over the high words."""
+    """Decode _sparse_bytes: the k-th one of the high part, at bit i,
+    gives position ((i - k) << low_bits | lows[k]) + 1."""
     n, ones, low_bits = struct.unpack_from("<QQB", blob, 0)
-    lows, off = _ints_at(blob, 17)
+    lows, off = _ints_at(blob, 17, array=True)
     (high_n,) = struct.unpack_from("<Q", blob, off)
-    high = blob[off + 8:]
+    high = np.frombuffer(blob, np.uint8, offset=off + 8)
     if ((low_bits, high_n) != _ef_shape(n, ones)
-            or len(high) != 8 * -(-high_n // WORD)):
+            or len(high) != 8 * -(-high_n // WORD)
+            or len(lows) and int(lows.max()) >> low_bits):
         raise FormatError("sparse bitvector parts do not fit its length")
-    if len(lows) != ones or int.from_bytes(high, "little").bit_count() != ones:
+    at = np.flatnonzero(np.unpackbits(high, bitorder="little"))
+    if len(lows) != ones or len(at) != ones:
         raise FormatError("sparse bitvector cardinality mismatch")
-    positions = []
-    k = prev = 0
-    for q in range(0, len(high), 8):
-        w = int.from_bytes(high[q:q + 8], "little")
-        while w:
-            b = w & -w
-            p = ((8 * q + b.bit_length() - 1 - k) << low_bits | lows[k]) + 1
-            if p <= prev:
-                raise FormatError("sparse bitvector positions not increasing")
-            positions.append(p)
-            prev = p
-            k += 1
-            w ^= b
-    if prev > n:
+    # high parts never decrease, so the positions increase where the high
+    # parts do, or else the low parts
+    hi = (at - np.arange(ones)).astype(np.uint64)
+    if ((hi[1:] == hi[:-1]) & (lows[1:] <= lows[:-1])).any():
+        raise FormatError("sparse bitvector positions not increasing")
+    # the last position bounds them all; checked in Python ints, as a one
+    # past high_n gives a high part whose shift would not fit 64 bits
+    if ones and int(hi[-1]) << low_bits | int(lows[-1]) >= n:
         raise FormatError("sparse bitvector position beyond its length")
-    return SparseBitvector(positions, n)
+    return SparseBitvector(
+        ((hi << np.uint64(low_bits) | lows) + np.uint64(1)).tolist(), n)
 
 
 def _delta_bytes(values, block):
@@ -243,7 +294,7 @@ def _plain(encode, decode):
 # -- the format table -----------------------------------------------------
 
 # codecs: (encode(value, header), decode(bytes, header))
-INTS = _plain(pack_ints, unpack_ints)
+INTS = _plain(pack_ints, _ints_array)
 DENSE = _plain(_dense_bytes, _dense_from)
 SPARSE = _plain(_sparse_bytes, _sparse_from)
 U64 = _plain(lambda v: struct.pack("<Q", v),
@@ -306,12 +357,17 @@ LOCATING_SECTIONS = {
     for row in layers[-1][3]}
 
 
+def _within(vals, lo, hi):
+    """True when every value of the array vals lies in lo..hi."""
+    return not len(vals) or lo <= vals.min() and vals.max() <= hi
+
+
 def _maps_marks(table, marks, samples):
     """Check row: table has one entry per mark, each a 1-based index into
     samples."""
     return ((table, marks, samples), lambda v, h:
             len(v[table]) == v[marks].ones
-            and all(1 <= x <= len(v[samples]) for x in v[table]),
+            and _within(v[table], 1, len(v[samples])),
             f"{table} does not map {marks} into {samples}")
 
 
@@ -319,10 +375,9 @@ def _runs_per_symbol(v, h):
     """Check: per symbol, the head and tail streams hold one value per Psi
     run that starts in the symbol's block of C, and there are r runs."""
     C, starts = v["c_table"], v["i_psi"]
-    want = {c: bisect_right(starts, C[c + 1]) - bisect_right(starts, C[c])
-            for c in range(1, h["sigma"] + 1)}
-    return len(starts) == h["r"] == sum(want.values()) and all(
-        {c: len(seq) for c, seq in v[name].items()} == want
+    want = np.diff(np.searchsorted(starts, C[1:], side="right")).tolist()
+    return len(starts) == h["r"] == sum(want) and all(
+        [len(seq) for seq in v[name].values()] == want
         for name in ("psi_heads", "psi_tails"))
 
 
@@ -336,46 +391,73 @@ def _spans_text(marks):
 def _sa_values(table, shift, *kind):
     """Check row: table holds SA values minus shift, each within the text;
     kind names a section that tells which index the table belongs to."""
-    def ok(v, h):
-        vals = v[table]
-        return not vals or (min(vals) >= 1 - shift
-                            and max(vals) <= h["n"] - shift)
-    return (table, *kind), ok, f"{table} holds positions outside the text"
+    return ((table, *kind), lambda v, h: _within(v[table], 1 - shift,
+                                                 h["n"] - shift),
+            f"{table} holds positions outside the text")
 
 
 def _distinct(table):
     """Check row: table's SA samples are distinct, as SA values are; the
     index finds a mark's sample slot again by its value on write."""
-    return ((table,), lambda v, h: len(set(v[table])) == len(v[table]),
-            f"{table} repeats a position")
+    def ok(v, h):
+        vals = np.sort(v[table])
+        return not (vals[1:] == vals[:-1]).any()
+    return (table,), ok, f"{table} repeats a position"
+
+
+def _areas_fit(marks):
+    """Check row: each validity area lies inside its mark's gap, as the
+    build's sweep measures them: 1 <= area < the distance to the next
+    mark on the BWT side (marks), or from the previous one on the Psi
+    side (marks_l), where the wrap gap across n is the first mark's."""
+    def ok(v, h):
+        area = v["valid_area"]
+        if not len(area):
+            return True
+        pos = np.array(v[marks].positions, dtype=np.int64)
+        wrap = [pos[0] + h["n"] - pos[-1]]
+        gaps = np.concatenate((wrap, np.diff(pos)) if marks == "marks_l"
+                              else (np.diff(pos), wrap))
+        return area.min() >= 1 and (
+            area < gaps[v["valid"].bits() == 0].astype(np.uint64)).all()
+    return ((marks, "valid", "valid_area"), ok,
+            "validity areas reach past their gaps")
 
 
 # Structural invariants the loader checks before building anything, each
 # when all the sections it reads are present: (sections, test over the
-# decoded sections v and the header h, message).
+# decoded sections v and the header h, message). A section's own range
+# checks come before the rows that combine it with others.
 CHECKS = [
     # the tables hold per-symbol entries, so sigma must be as small as the
     # alphabet section says, not a header field the bytes cannot back
     (("alphabet",), lambda v, h: len(v["alphabet"]) == h["sigma"],
      "alphabet does not match header"),
+    # the terminator, then the text's bytes in increasing order: symbol c
+    # is byte alphabet[c - 1], so any other order answers for other bytes
+    (("alphabet",), lambda v, h: len(v["alphabet"]) and v["alphabet"][0] == 0
+     and (v["alphabet"][1:] > v["alphabet"][:-1]).all()
+     and v["alphabet"][-1] <= 255,
+     "alphabet is not the terminator and increasing bytes"),
     (("start", "letters"), lambda v, h: v["start"].n == h["n"]
      and v["start"].ones == len(v["letters"]) == h["r"],
      "run table does not match header"),
     _spans_text("first"),
     _spans_text("marks"),
     _spans_text("marks_l"),
-    (("letters",), lambda v, h: all(1 <= c <= h["sigma"]
-                                    for c in v["letters"]),
+    (("letters",), lambda v, h: _within(v["letters"], 1, h["sigma"]),
      "letters exceed declared alphabet"),
+    # C counts symbols, so it starts at 0, never falls and ends at n
     (("c_table",), lambda v, h: len(v["c_table"]) == h["sigma"] + 2
-     and v["c_table"][-1] == h["n"],
+     and v["c_table"][0] == 0 and v["c_table"][-1] == h["n"]
+     and (v["c_table"][1:] >= v["c_table"][:-1]).all(),
      "C table does not match header"),
-    (("c_table", "i_psi", "psi_heads", "psi_tails"), _runs_per_symbol,
-     "psi run streams do not match run count"),
-    (("i_psi",), lambda v, h: v["i_psi"][:1] == [1]
-     and all(a < b for a, b in zip(v["i_psi"], v["i_psi"][1:]))
+    (("i_psi",), lambda v, h: len(v["i_psi"]) and v["i_psi"][0] == 1
+     and (v["i_psi"][1:] > v["i_psi"][:-1]).all()
      and v["i_psi"][-1] <= h["n"],
      "i_psi is not increasing from 1 within the text"),
+    (("c_table", "i_psi", "psi_heads", "psi_tails"), _runs_per_symbol,
+     "psi run streams do not match run count"),
     # each delta stream is strictly increasing (its decoder checks it), so
     # its first and last values bound all of it
     (("psi_heads", "psi_tails"), lambda v, h: all(
@@ -410,6 +492,8 @@ CHECKS = [
     (("valid", "valid_area"), lambda v, h:
      len(v["valid_area"]) == v["valid"].n - v["valid"].ones,
      "validity areas do not match invalid marks"),
+    _areas_fit("marks"),
+    _areas_fit("marks_l"),
 ]
 
 
@@ -522,17 +606,21 @@ def _open(data):
                         for name, (_, off, ln) in zip(names, table)}
 
 
-def deserialize(data):
-    """Envelope bytes -> (index object, kind, alphabet)."""
+def deserialize(data, times=None):
+    """Envelope bytes -> (index object, kind, alphabet). A dict passed as
+    times gets the seconds each section took to decode, by name."""
     kind, head, blobs = _open(data)
     layers = FORMAT[kind]
     rows = _rows(kind, head["variant"])
     values = {}
     for name, _, (_, decode) in [("alphabet", None, INTS)] + sum(rows, []):
+        t0 = time.perf_counter()
         try:
             values[name] = decode(blobs[name], head)
         except (struct.error, ValueError, IndexError) as exc:
             raise FormatError(f"section {name}: {exc}") from exc
+        if times is not None:
+            times[name] = time.perf_counter() - t0
     for names, ok, message in CHECKS:
         if all(name in values for name in names) and not ok(values, head):
             raise FormatError(message)
@@ -546,7 +634,7 @@ def deserialize(data):
             ix, inner = cls(**args), attr
         except ValueError as exc:     # a constructor's own check
             raise FormatError(str(exc)) from exc
-    return ix, kind, values["alphabet"]
+    return ix, kind, values["alphabet"].tolist()
 
 
 def locating_bits(data):

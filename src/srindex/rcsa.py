@@ -37,7 +37,7 @@ class PsiRuns(BackwardSearch):
     def __init__(self, n, sigma, C, i_psi, heads, tails, block=DEFAULT_BLOCK):
         self.n = n
         self.sigma = sigma
-        self.C = C                    # C[c] symbols smaller than c
+        self.C = np.asarray(C, dtype=np.int64).tolist()  # symbols < c
         self.r = len(i_psi)
         self.block = block            # B of the delta streams on disk
         starts = np.append(np.asarray(i_psi, dtype=np.int64), n + 1)

@@ -25,16 +25,17 @@ class RIndex(SrIndex):
         r = rl.r
         # run p's first-position mark pairs with the sample of run p-1
         # (cyclic), the slot SrIndex's mark_map holds
-        super().__init__(rl, 1, 0, samples[r - 1] + 1, None, samples, first,
-                         [p - 1 if p >= 2 else r for p in first_to_run])
+        runs = np.asarray(first_to_run, dtype=np.int64)
+        super().__init__(rl, 1, 0, int(samples[r - 1]) + 1, None, samples,
+                         first, np.where(runs >= 2, runs - 1, r))
 
     first = property(lambda self: self.marks)
     samples = property(lambda self: self.samples_sub)
 
     @property
     def first_to_run(self):
-        r = self.rl.r
-        return [k + 1 if k < r else 1 for k in self.mark_map]
+        slots = np.array(self.mark_map, dtype=np.int64)
+        return np.where(slots < self.rl.r, slots + 1, 1).tolist()
 
     # own names: the benchmark's tracer wraps methods in the class __dict__
     phi = SrIndex.phi

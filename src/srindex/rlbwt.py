@@ -76,12 +76,16 @@ class RunLengthBWT(BackwardSearch):
         self.sigma = sigma
         self.r = len(letters)
         self.starts = start.positions + [n + 1]
-        starts = np.array(self.starts, dtype=np.int64)
-        lengths = np.diff(starts)
+        # one pass over the list: its very ints, which each symbol's
+        # letter_starts shares, and their values
+        held = np.array(self.starts, dtype=object)
+        lengths = np.diff(held.astype(np.int64))
         # runs in (symbol, position) order are the LF order of their
         # first positions: LF(run q's first position) is one plus the
-        # length of all runs before q in that order
-        sym = np.asarray(letters, dtype=np.int64)
+        # length of all runs before q in that order; a stable sort of
+        # symbols in the narrowest type that holds sigma (8 or 16 bits)
+        # is a radix sort
+        sym = np.asarray(letters, dtype=np.min_scalar_type(sigma))
         order = np.argsort(sym, kind="stable")
         before = np.concatenate(([0], np.cumsum(lengths[order])))
         img = np.empty(self.r, dtype=np.int64)
@@ -93,7 +97,7 @@ class RunLengthBWT(BackwardSearch):
         self.C = before[cut].tolist()
         # per symbol, the bwt positions its runs start at (the very ints
         # starts holds) and its cumulative run lengths, in bwt run order
-        firsts = np.array(self.starts[:-1], dtype=object)[order]
+        firsts = held[order]
         self.letter_starts = {}
         self.lex_cum = {}
         for c in range(1, sigma + 1):

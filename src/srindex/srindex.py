@@ -46,7 +46,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .succinct import WORD, DenseBitvector, SparseBitvector, uint_array
+from .succinct import DenseBitvector, SparseBitvector, uint_array
 
 INF = float("inf")
 
@@ -114,20 +114,15 @@ class Subsampled:
         removed is None for a full index, which keeps all its m samples."""
         if removed is None:
             return uint_array(m, np.arange(m + 1))
-        words = np.array(removed.words, dtype="<u8").view(np.uint8)
-        kept = 1 - np.unpackbits(words, count=removed.n,
-                                 bitorder="little").astype(np.int64)
+        kept = 1 - removed.bits().astype(np.int64)
         return uint_array(removed.n, np.append(0, np.cumsum(kept) * kept))
 
     @property
     def removed(self):
         """Per run, 1 when its sample was dropped: format v1's bitvector,
         derived from slot."""
-        gone = np.frombuffer(self.slot, dtype=self.slot.typecode)[1:] == 0
-        bits = np.packbits(gone, bitorder="little")
-        words = np.zeros(-(-gone.size // WORD), dtype="<u8")
-        words.view(np.uint8)[:bits.size] = bits
-        return DenseBitvector.from_words(words.tolist(), gone.size)
+        return DenseBitvector(
+            np.frombuffer(self.slot, dtype=self.slot.typecode)[1:] == 0)
 
     def _tables(self, mark_map, valid, valid_area):
         """offs and lim (None at variant 0) from the format's tables: the
@@ -136,28 +131,31 @@ class Subsampled:
         invalid one. One entry per mark, plus the gap that wraps around
         the text: first on the BWT side, last on the Psi side."""
         d, n, variant = self.DIR, self.n, self.variant
-        marks, samples = self.marks.positions, self.samples_sub
-        if not marks:
+        marks = np.array(self.marks.positions, dtype=np.int64)
+        if not marks.size:
             raise ValueError("an index needs at least one mark")
-        offs = [samples[q - 1] + self.SHIFT - p
-                for p, q in zip(marks, mark_map)]
+        samples = np.frombuffer(self.samples_sub,
+                                dtype=self.samples_sub.typecode)
+        offs = (samples[np.asarray(mark_map, dtype=np.int64) - 1]
+                .astype(np.int64) + self.SHIFT - marks)
         lim = None
         if variant:
-            # valid's bits in order, one character each: a word's base-2
-            # digits reversed, as bit 1 is its lowest
-            bits = "".join(format(w, "064b")[::-1] for w in valid.words)
-            areas = iter(valid_area if variant == 2 else ())
-            lim = [self.SAFE if bit == "1" else
-                   self.NEVER if variant == 1 else p - d * next(areas)
-                   for bit, p in zip(bits, marks)]
+            # SAFE where valid's bit is set; elsewhere NEVER, or at
+            # variant 2 the mark moved by its area against DIR
+            lim = np.full(marks.size, self.SAFE, dtype=object)
+            gone = valid.bits() == 0
+            lim[gone] = self.NEVER if variant == 1 else (
+                marks[gone] - d * np.asarray(valid_area, dtype=np.int64)
+            ).tolist()
         # the wrap gap is the gap of the last mark (BWT) or the first
         # (Psi), with that mark moved by d * n across the text's end
-        src, at = (-1, 0) if d < 0 else (0, len(marks))
-        offs.insert(at, offs[src] - d * n)
-        if lim:
+        src, at = (-1, 0) if d < 0 else (0, marks.size)
+        offs = np.insert(offs, at, offs[src] - d * n)
+        if lim is not None:
             x = lim[src]
-            lim.insert(at, x if x in (self.SAFE, self.NEVER) else x + d * n)
-        return array("q", offs), lim
+            lim = np.insert(lim, at, x if x in (self.SAFE, self.NEVER)
+                            else x + d * n).tolist()
+        return array("q", offs.tobytes()), lim
 
     def _per_mark(self, table):
         """offs or lim without the wrap gap: one entry per mark."""
@@ -167,26 +165,36 @@ class Subsampled:
     def mark_map(self):
         """k-th mark -> slot of its sample in samples_sub, the format's
         table, derived from offs (SA samples are distinct)."""
-        slot = {v: q for q, v in enumerate(self.samples_sub, 1)}
-        return [slot[o + p - self.SHIFT] for o, p in
-                zip(self._per_mark(self.offs), self.marks.positions)]
+        samples = np.frombuffer(self.samples_sub,
+                                dtype=self.samples_sub.typecode)
+        want = (self._per_mark(np.frombuffer(self.offs, dtype=np.int64))
+                + np.array(self.marks.positions, dtype=np.int64)
+                - self.SHIFT)
+        order = np.argsort(samples)
+        return (order[np.searchsorted(samples, want, sorter=order)]
+                + 1).tolist()
 
     @property
     def valid(self):
         """Per mark gap, 1 when no removed mark lies in it (variant 1 and
         up), derived from lim."""
         if self.lim is not None:
-            return DenseBitvector(x == self.SAFE
-                                  for x in self._per_mark(self.lim))
+            return DenseBitvector(self._lim_per_mark() == self.SAFE)
 
     @property
     def valid_area(self):
         """Per invalid gap, the distance from its mark to the first
         removed one (variant 2), derived from lim."""
         if self.variant == 2:
-            return [(p - x) * self.DIR for p, x in
-                    zip(self.marks.positions, self._per_mark(self.lim))
-                    if x != self.SAFE]
+            lim = self._lim_per_mark()
+            bad = lim != self.SAFE
+            marks = np.array(self.marks.positions, dtype=np.int64)
+            return ((marks[bad] - lim[bad].astype(np.int64))
+                    * self.DIR).tolist()
+
+    def _lim_per_mark(self):
+        """lim without the wrap gap, as an array of its Python objects."""
+        return np.array(self._per_mark(self.lim), dtype=object)
 
     @classmethod
     def _parts(cls, full, marks, s, variant):

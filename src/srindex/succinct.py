@@ -33,19 +33,14 @@ class DenseBitvector:
     """Plain bitvector: 64-bit words plus a per-word cumulative popcount."""
 
     def __init__(self, bits):
-        # bits: iterable of 0/1
-        self.n = 0
-        self.words = []
-        w = 0
-        for b in bits:
-            if b:
-                w |= 1 << (self.n % WORD)
-            self.n += 1
-            if self.n % WORD == 0:
-                self.words.append(w)
-                w = 0
-        if self.n % WORD:
-            self.words.append(w)
+        # bits: a sequence of 0/1 or a numpy array; bit 1 is the lowest
+        # bit of the first word
+        bits = np.asarray(bits, dtype=bool)
+        packed = np.packbits(bits, bitorder="little")
+        words = np.zeros(-(-bits.size // WORD), dtype="<u8")
+        words.view(np.uint8)[:packed.size] = packed
+        self.n = bits.size
+        self.words = words.tolist()
         self._build_rank()
 
     @classmethod
@@ -63,6 +58,11 @@ class DenseBitvector:
             c += w.bit_count()
             self.cum[i + 1] = c
         self.ones = c
+
+    def bits(self):
+        """All n bits, bit 1 first, as a numpy array of 0/1."""
+        return np.unpackbits(np.array(self.words, dtype="<u8").view(np.uint8),
+                             count=self.n, bitorder="little")
 
     def get(self, i):
         """Bit at 1-based position i."""

@@ -159,19 +159,23 @@ def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
 
 
 def index_stats(data):
-    """Envelope bytes -> size breakdown in bits per symbol, and the bytes
-    each table of the loaded index takes in memory."""
+    """Envelope bytes -> size breakdown in bits per symbol, the seconds
+    each section takes to decode, and the bytes each table of the loaded
+    index takes in memory."""
     params = envelope.read_params(data)
     sizes = envelope.section_sizes(data)
     n = params["n"]
     per_section = {name: 8 * ln / n for name, ln in sizes.items()}
+    decode_s = {}
+    ix = envelope.deserialize(data, decode_s)[0]
     return {
         **params,
         "bits_per_symbol": 8 * len(data) / n,
         "counting_bps": envelope.counting_bits(data) / n,
         "locating_bps": envelope.locating_bits(data) / n,
         "section_bps": per_section,
-        "memory_bytes": memory_bytes(load_index(data).ix),
+        "section_decode_s": decode_s,
+        "memory_bytes": memory_bytes(ix),
     }
 
 

@@ -82,6 +82,19 @@ class TestStats:
         assert st["kind"] == "r-index"
         assert st["locating_bps"] > 0
 
+    @pytest.mark.parametrize("kind", ["r-index", "sr-csa"])
+    def test_index_stats_decode_times(self, corpus, tmp_path, capsys, kind):
+        # one decode time per section of the envelope, under its name
+        idx = tmp_path / "ix.bin"
+        run(["build", str(corpus), "-o", str(idx), "--kind", kind]
+            + (["--s", "4", "--variant", "2"] if kind == "sr-csa" else []),
+            capsys)
+        rc, out, _ = run(["stats", str(idx)], capsys)
+        st = json.loads(out)
+        assert rc == 0
+        assert set(st["section_decode_s"]) == set(st["section_bps"])
+        assert all(type(t) is float for t in st["section_decode_s"].values())
+
     @pytest.mark.parametrize("variant", [0, 2])
     def test_index_stats_memory(self, corpus, tmp_path, capsys, variant):
         # the loaded index's tables by in-memory bytes: the per-gap phi

@@ -1,9 +1,11 @@
 import random
 import signal
 import struct
+import tracemalloc
 import zlib
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
@@ -218,11 +220,16 @@ def edit_section(name, codec, change):
     tables on write, so edits of those tables go through the bytes."""
     encode, decode = codec
 
+    def value(payload, head):
+        # packed ints decode to an array; change edits them as a list
+        v = decode(payload, head)
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
     @on_bytes
     def edit(blob):
         head = envelope.read_params(blob)
         return on_section(name, lambda p: encode(
-            change(decode(p, head), head), head))(blob)
+            change(value(p, head), head), head))(blob)
     return edit
 
 
@@ -485,8 +492,65 @@ class TestEnvelope:
         assert envelope._ints_at(payload, at)[1] <= len(payload)
         bad = reseal(blob, section, payload[:at + 1]
                      + struct.pack("<Q", 2**40) + payload[at + 9:])
-        with time_limit(10), pytest.raises(envelope.FormatError,
-                                           match="past their section"):
+        tracemalloc.start()
+        try:
+            with time_limit(10), pytest.raises(envelope.FormatError,
+                                               match="past their section"):
+                toolkit.load_index(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the count is checked before the decoder allocates its arrays
+        assert peak < 10**6
+
+    @pytest.mark.parametrize("kind", toolkit.SUBSAMPLED_KINDS)
+    @pytest.mark.parametrize("area", [
+        lambda n: 0, lambda n: n + 1, lambda n: 2**62, lambda n: 2**70,
+    ], ids=["zero", "n+1", "2to62", "2to70"])
+    def test_validity_areas_past_their_gaps_rejected(self, kind, area):
+        # every variant-2 validity area set past its gap: before the areas
+        # were range-checked, the three large values loaded, serialized
+        # back to the same bytes and then located 14 (sr-index) or 13
+        # (sr-csa) of this text's 91 distinct substrings of length 1, 2,
+        # 3, 5 and 8 wrongly
+        rng = random.Random(3)
+        data = bytes(rng.choice(b"ab") for _ in range(60)) * 3
+        blob = toolkit.build_index(data, kind, s=4, variant=2,
+                                   block=4).serialize()
+        bad = edit_section("valid_area", INTS, lambda t, h: [
+            area(h["n"])] * len(t))(blob)
+        assert bad != blob
+        with pytest.raises(envelope.FormatError,
+                           match="validity areas reach past their gaps"):
+            toolkit.load_index(bad)
+
+    @pytest.mark.parametrize("change", [
+        lambda a: [a[0], a[2], a[1]] + a[3:],      # two bytes swapped
+        lambda a: [a[0], a[1], a[1]] + a[3:],      # a byte twice
+        lambda a: a[:-1] + [300],                  # not a byte
+        lambda a: [1] + a[1:],                     # no terminator
+    ], ids=["swapped", "repeated", "past-255", "no-terminator"])
+    def test_alphabet_out_of_order_rejected(self, change):
+        # symbol c stands for byte alphabet[c - 1]: with two bytes swapped
+        # an r-index used to load and miscount 30 of its 33 substrings
+        blob = toolkit.build_index(b"abracadabra" * 5, "r-index").serialize()
+        bad = edit_section("alphabet", INTS,
+                           lambda a, h: change(a))(blob)
+        with pytest.raises(envelope.FormatError, match="alphabet"):
+            toolkit.load_index(bad)
+
+    @pytest.mark.parametrize("change", [
+        lambda C: [3] + C[1:],                     # C[0] is not 0
+        lambda C: C[:3] + [C[2] - 1] + C[4:],      # C falls
+        lambda C: C[:2] + [2**70] + C[3:],         # past n, and 70 bits
+    ], ids=["first-not-0", "falls", "2to70"])
+    def test_c_table_out_of_order_rejected(self, change):
+        # C counts the symbols smaller than c: a C[0] of 3 used to load,
+        # a second envelope for the same index
+        blob = toolkit.build_index(b"abracadabra" * 5, "r-csa",
+                                   block=4).serialize()
+        bad = edit_section("c_table", INTS, lambda C, h: change(C))(blob)
+        with pytest.raises(envelope.FormatError, match="C table"):
             toolkit.load_index(bad)
 
     @pytest.mark.parametrize("kind", toolkit.KINDS)
