@@ -21,11 +21,15 @@ The codecs are array work, in both directions. Packed ints (INTS, the
 Elias-Fano low parts, the delta anchors) are one gather of 64-bit words
 with a shift and a mask per value, and one OR-reduce per word on write;
 an Elias-Fano high part is unpacked to bits and its ones found with
-flatnonzero; a dense bitvector is its words read in one go. INTS decodes
-to a numpy array, which CHECKS compares as a whole; only values wider
-than 64 bits, which no index writes, take a big-int path. The DELTAS
-codec stays one delta_read per code, a Python step each: it is the Psi
-side's load time.
+flatnonzero; a dense bitvector is its words read in one go. An
+Elias-delta stream (DELTAS) is written as two bit fields per code, placed
+like packed ints of varying width; it is read by one table lookup at
+every bit, which gives where a code starting there would end, one walk
+along those ends (the only step per code, a list index), and one gather
+of the gaps, summed per block from its anchor. INTS and DELTAS decode to
+numpy arrays, which CHECKS compares as a whole; only values wider than
+64 bits, which no index writes, take a big-int path, and only delta codes
+longer than 64 bits a delta_read call each.
 
 The load path checks the checksum, that the header fits the kind, that
 the sections are exactly the ones the table names for the kind and
@@ -38,6 +42,7 @@ length). So an index has exactly one envelope.
 import struct
 import time
 import zlib
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -70,30 +75,51 @@ def pack_ints(values):
     count = len(vals)
     width = max(int(vals.max()).bit_length(), 1) if count else 1
     head = struct.pack("<BQ", width, count)
-    if not count:
-        return head
     if width > 64:
         # one join and one base-2 parse, linear in the payload; no v1
         # index writes values this wide
         bits = "".join(format(v, f"0{width}b") for v in reversed(values))
         return head + int(bits, 2).to_bytes((len(bits) + 7) // 8, "little")
-    # value i is bits [i * width, (i + 1) * width) of the payload: it ORs
-    # into the word it starts in, and spills into the next one when it
-    # crosses that word's end
-    q, sh = _slots(count, width)
-    words = np.zeros(q[-1] + 2, dtype=WORDS)
-    first = np.flatnonzero(np.diff(q, prepend=-1))  # first value per word
-    words[q[first]] = np.bitwise_or.reduceat(vals << sh, first)
-    cross = sh + width > 64                         # at most one per word
-    words[q[cross] + 1] |= vals[cross] >> (64 - sh[cross])
-    return head + words.view(np.uint8)[:(width * count + 7) // 8].tobytes()
+    # value i is bits [i * width, (i + 1) * width) of the payload
+    return head + _or_bits(vals, _offsets(count, width), width, width * count)
 
 
-def _slots(count, width):
-    """For values 0..count-1 of width bits packed end to end: the 64-bit
-    word each starts in and its bit offset there."""
-    bit = np.arange(count, dtype=np.uint64) * np.uint64(width)
-    return (bit >> 6).astype(np.intp), bit & 63
+def _offsets(count, width):
+    """The bit offsets of values 0..count-1 of width bits packed end to
+    end, as a uint64 array."""
+    return np.arange(count, dtype=np.uint64) * np.uint64(width)
+
+
+def _or_bits(vals, at, width, nbits):
+    """nbits bits, LSB first, as bytes: value vals[i] (a uint64 array)
+    of width[i] <= 64 bits at bit at[i], the offsets increasing. Each
+    value ORs into the word it starts in, and spills into the next one
+    when it crosses that word's end."""
+    q = (at >> np.uint64(6)).astype(np.intp)
+    sh = at & np.uint64(63)
+    words = np.zeros(nbits // 64 + 2, dtype=WORDS)
+    if len(vals):
+        first = np.flatnonzero(np.diff(q, prepend=-1))  # first one per word
+        words[q[first]] = np.bitwise_or.reduceat(vals << sh, first)
+        cross = sh + width > 64                     # at most one per word
+        words[q[cross] + 1] |= vals[cross] >> (64 - sh[cross])
+    return words.view(np.uint8)[:(nbits + 7) // 8].tobytes()
+
+
+def _words(blob, off, nbytes):
+    """nbytes bytes of blob from off as 64-bit words, with two zero words
+    after them, so a 64-bit window can be read at any of their bits."""
+    words = np.zeros(nbytes // 8 + 2, dtype=WORDS)
+    words.view(np.uint8)[:nbytes] = np.frombuffer(blob, np.uint8, nbytes, off)
+    return words
+
+
+def _windows(words, at):
+    """The 64 bits of words from each bit offset in at (uint64), one
+    gather: the word each starts in and the next."""
+    q = (at >> np.uint64(6)).astype(np.intp)
+    sh = at & np.uint64(63)
+    return words[q] >> sh | words[q + 1] << (64 - sh)
 
 
 def unpack_ints(blob):
@@ -133,12 +159,8 @@ def _ints_at(blob, off, array=False):
         values = np.array([int(bits[j - width:j], 2)
                            for j in range(nbits, 0, -width)], dtype=object)
     else:
-        # one gather: each value from the word it starts in and the next
-        words = np.zeros(nbytes // 8 + 2, dtype=WORDS)
-        words.view(np.uint8)[:nbytes] = np.frombuffer(blob, np.uint8,
-                                                      nbytes, off + 9)
-        q, sh = _slots(count, width)
-        values = ((words[q] >> sh | words[q + 1] << (64 - sh))
+        values = (_windows(_words(blob, off + 9, nbytes),
+                           _offsets(count, width))
                   & np.uint64((1 << width) - 1))
     if width != max(int(values.max()).bit_length() if count else 0, 1):
         raise ValueError("packed ints are wider than their largest value")
@@ -208,11 +230,46 @@ def _sparse_from(blob):
         ((hi << np.uint64(low_bits) | lows) + np.uint64(1)).tolist(), n)
 
 
+def _bit_length(a):
+    """The bit length of each value of a uint64 array, exact for all of
+    them: the bits below the top one are filled in, then counted."""
+    a = a.copy()
+    for sh in (1, 2, 4, 8, 16, 32):
+        a |= a >> np.uint64(sh)
+    return np.bitwise_count(a).astype(np.uint64)
+
+
 def _delta_bytes(values, block):
     """One strictly increasing sequence: its length m, the block size B
     and the bit count of its stream, every B-th value verbatim as an
     anchor (packed ints), then the stream: the gap from each other value
-    to its left neighbour as an Elias-delta code."""
+    to its left neighbour as an Elias-delta code (see
+    succinct.delta_append), the codes end to end."""
+    try:
+        vals = np.asarray(values, dtype=np.uint64)
+    except OverflowError:                           # wider than 64 bits
+        return _delta_bytes_wide(values, block)
+    one = np.uint64(1)
+    row = max(min(block, len(vals)), 1)   # the values of a block in vals
+    gaps = np.diff(vals)[np.arange(1, len(vals)) % row != 0]
+    L = _bit_length(gaps)
+    LL = _bit_length(L)
+    # each code as two fields of at most 64 bits: LL - 1 zeros, a one and
+    # the low LL - 1 bits of L, then the low L - 1 bits of the gap (each
+    # number without its top bit)
+    low_L = L ^ (one << (LL - one))
+    fields = np.stack((((low_L << one) | one) << (LL - one),
+                       gaps ^ (one << (L - one))), axis=1).ravel()
+    widths = np.stack((2 * LL - one, L - one), axis=1).ravel()
+    nbits = int(widths.sum())
+    return (struct.pack("<QQQ", len(vals), block, nbits)
+            + pack_ints(vals[::row])
+            + _or_bits(fields, np.cumsum(widths) - widths, widths, nbits))
+
+
+def _delta_bytes_wide(values, block):
+    """_delta_bytes for values wider than 64 bits, which no index writes:
+    one code at a time, then one join and one base-2 parse."""
     codes = []                        # each code's bits, high bit first
     nbits = 0
     for i in range(1, len(values)):
@@ -220,44 +277,119 @@ def _delta_bytes(values, block):
             code, width = delta_append(0, 0, values[i] - values[i - 1])
             codes.append(format(code, f"0{width}b"))
             nbits += width
-    # one join and one base-2 parse: linear in the stream, where OR-ing
-    # each code into a growing int copied the int once per code
     stream = int("0" + "".join(reversed(codes)), 2).to_bytes(
         (nbits + 7) // 8, "little")
     return (struct.pack("<QQQ", len(values), block, nbits)
             + pack_ints(values[::block]) + stream)
 
 
+def _delta_shape(x):
+    """For 64-bit windows x of a delta stream, each read as the start of
+    a code: z, the code's zeros plus one, and L, the bit length of its
+    gap. The code then takes 2z - 2 + L bits."""
+    one = np.uint64(1)
+    z = np.bitwise_count(x ^ (x - one)).astype(np.uint64)
+    top = one << (z - one)
+    return z, top | (x >> z) & (top - one)
+
+
+def _lead_widths():
+    """A code of at most 64 bits has z <= 6, so its first LEAD bits hold
+    its zeros, its one and L: this table maps them to its width, or to 0
+    for a code that is longer or has no one there."""
+    z, L = _delta_shape(np.arange(1 << LEAD, dtype=np.uint64))
+    width = 2 * z - 2 + L
+    return np.where(width <= 64, width, 0).astype(np.uint8)
+
+
+LEAD = 11
+LEAD_WIDTH = _lead_widths()
+
+
 def _delta_from(blob, block):
-    """Decode _delta_bytes in one pass, one delta_read per code. Raises
-    ValueError on parts that do not fit, on a block size other than
-    block, or on values that are not strictly increasing."""
+    """Decode _delta_bytes to a numpy array (uint64, or object where the
+    values need more bits). Raises ValueError on parts that do not fit,
+    on a block size other than block, or on values that are not strictly
+    increasing.
+
+    The width of a code that fits 64 bits follows from its first LEAD
+    bits, so one table lookup at every bit of the stream gives the end of
+    a code that would start there; one walk from bit 0 along those ends
+    finds the codes, and their gaps are read from 64-bit windows in one
+    go. A longer code goes through succinct.delta_read."""
     m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
     if B != block:
         raise ValueError(f"delta block size {B} is not the header's {block}")
-    anchors, off = _ints_at(blob, 24)
-    stream = bytes(blob[off:])
+    anchors, off = _ints_at(blob, 24, array=True)
+    nbytes = len(blob) - off
     if len(anchors) != -(-m // B):
         raise ValueError("delta anchors do not match length and block")
-    if (len(stream) != (nbits + 7) // 8
-            or int.from_bytes(stream, "little") >> nbits):
+    if nbytes != (nbits + 7) // 8 or nbits % 8 and blob[-1] >> nbits % 8:
         raise ValueError("delta stream length does not match its bits")
+    codes = m - len(anchors)
+    if codes > nbits:
+        # checked before anything of that count is allocated: a code
+        # takes one bit at least
+        raise ValueError(f"{codes} delta codes do not fit {nbits} bits")
+    words = _words(blob, off, nbytes)
+    # the width of a code at each bit p up to nbits, by its first LEAD
+    # bits, which lie in the three bytes from p's
+    u = words.view(np.uint8)[:nbytes + 3].astype(np.uint32)
+    width = LEAD_WIDTH.take((u[:-2] | u[1:-1] << 8 | u[2:] << 16)[:, None]
+                            >> np.arange(8, dtype=np.uint32)
+                            & (1 << LEAD) - 1).ravel()[:nbits + 1]
+    end = np.arange(nbits + 1, dtype=np.int64)
+    end += width
+    end[(width == 0) | (end > nbits)] = -1      # delta_read's, or past nbits
+    nxt = memoryview(end)
+    stream = bytes(blob[off:])
     read = succinct.delta_read        # looked up where a tracer wraps it
-    values = []
-    pos = 0
-    for k, v in enumerate(anchors):
-        values.append(v)
-        for _ in range(min(B, m - k * B) - 1):
-            g, pos = read(stream, pos)
-            v += g
-            values.append(v)
-        # gaps are at least 1, so this keeps the whole sequence
-        # strictly increasing, anchors included
-        if k + 1 < len(anchors) and v >= anchors[k + 1]:
-            raise ValueError("delta block reaches the next anchor")
-    if pos != nbits:
+    starts = [0] * codes
+    wide = {}                         # code index -> gap, read one by one
+    p = 0
+    for k in range(codes):
+        starts[k] = p
+        q = nxt[p]
+        if q < 0:
+            wide[k], q = read(stream, p)
+            if q > nbits:
+                raise ValueError("delta codes do not end at the stream's end")
+        p = q
+    if p != nbits:
         raise ValueError("delta codes do not end at the stream's end")
+    x = _windows(words, np.array(starts, dtype=np.uint64))
+    z, L = _delta_shape(x)
+    one = np.uint64(1)
+    top = one << (L - one)
+    gaps = top | (x >> (2 * z - one)) & (top - one)
+    if wide:
+        if max(wide.values()) >> 64:
+            gaps = gaps.astype(object)
+        gaps[list(wide)] = list(wide.values())
+    # each block is its anchor plus the running sum of its gaps; uint64
+    # sums that wrap around fall within a block, and are redone exactly
+    row = max(min(B, m), 1)
+    values = _block_sums(anchors, gaps, m, row)
+    fell = np.flatnonzero(values[1:] <= values[:-1]) + 1
+    if len(fell) and values.dtype != object and (fell % row).any():
+        values = _block_sums(anchors, gaps, m, row, exact=True)
+        fell = np.flatnonzero(values[1:] <= values[:-1]) + 1
+    # gaps are at least 1, so only a block boundary can fall here
+    if len(fell):
+        raise ValueError("delta block reaches the next anchor")
     return values
+
+
+def _block_sums(anchors, gaps, m, row, exact=False):
+    """The m values of a delta stream from its anchors and gaps: one row
+    of row values per block, each the running sum of its anchor and its
+    gaps; in uint64, or exact in Python ints."""
+    if exact or object in (anchors.dtype, gaps.dtype):
+        anchors, gaps = anchors.astype(object), gaps.astype(object)
+    steps = np.zeros(len(anchors) * row, dtype=anchors.dtype)
+    steps[::row] = anchors
+    steps[:m][np.arange(m) % row != 0] = gaps
+    return np.cumsum(steps.reshape(-1, row), axis=1).ravel()[:m]
 
 
 def _deltas_bytes(seqs, head):
@@ -272,7 +404,7 @@ def _deltas_bytes(seqs, head):
 
 
 def _deltas_from(blob, head):
-    """Decode _deltas_bytes to dict c -> list of values."""
+    """Decode _deltas_bytes to dict c -> array of values."""
     (count,) = struct.unpack_from("<I", blob, 0)
     off = 4
     out = {}
@@ -461,7 +593,7 @@ CHECKS = [
     # each delta stream is strictly increasing (its decoder checks it), so
     # its first and last values bound all of it
     (("psi_heads", "psi_tails"), lambda v, h: all(
-        not vals or vals[0] >= 1 and vals[-1] <= h["n"]
+        not len(vals) or vals[0] >= 1 and vals[-1] <= h["n"]
         for name in ("psi_heads", "psi_tails") for vals in v[name].values()),
      "psi run values outside the text"),
     (("samples", "first_to_run"), lambda v, h:
@@ -514,18 +646,27 @@ def _rows(kind, variant):
 # -- envelope -------------------------------------------------------------
 
 
-def serialize(ix, alphabet):
-    """Index object + alphabet list -> envelope bytes."""
+def serialize(ix, alphabet, times=None):
+    """Index object + alphabet list -> envelope bytes. A dict passed as
+    times gets the seconds each section took to encode, by name, the
+    derivation of a derived section included."""
     kind = _kind_of(ix)
     layers = FORMAT[kind]
     objs = [getattr(ix, layer[1]) for layer in layers[:-1]] + [ix]
     head = {"s": 0, "block": 0, "variant": 0}
     for obj, layer in zip(objs, layers):
         head.update((f, getattr(obj, f)) for f in layer[2])
-    sections = {"alphabet": pack_ints(list(alphabet))}
-    for obj, rows in zip(objs, _rows(kind, head["variant"])):
-        for name, attr, (encode, _) in rows:
-            sections[name] = encode(getattr(obj, attr), head)
+    # (section, its value when called, encoder)
+    todo = [("alphabet", lambda: list(alphabet), INTS[0])] + [
+        (name, partial(getattr, obj, attr), encode)
+        for obj, rows in zip(objs, _rows(kind, head["variant"]))
+        for name, attr, (encode, _) in rows]
+    sections = {}
+    for name, value, encode in todo:
+        t0 = time.perf_counter()
+        sections[name] = encode(value(), head)
+        if times is not None:
+            times[name] = time.perf_counter() - t0
     names = sorted(sections)
     header = MAGIC + struct.pack(
         "<IBBHQQQQQI", FORMAT_VERSION, KINDS.index(kind), head["variant"], 0,

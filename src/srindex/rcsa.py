@@ -20,7 +20,6 @@ v1's name for the head samples, is its sample table.
 """
 
 from bisect import bisect_right
-from itertools import chain
 
 import numpy as np
 
@@ -48,8 +47,8 @@ class PsiRuns(BackwardSearch):
                           + 1).tolist()
 
         def laid_end_to_end(per_symbol):
-            return np.fromiter(chain.from_iterable(
-                per_symbol[c] for c in range(1, sigma + 1)), np.int64)
+            return np.concatenate([np.asarray(per_symbol[c], dtype=np.int64)
+                                   for c in range(1, sigma + 1)])
 
         img = laid_end_to_end(heads)
         if not np.array_equal(laid_end_to_end(tails),

@@ -171,6 +171,8 @@ def delta_read(buf, pos):
     Reads DELTA_WINDOW bytes, and after them only the bytes of a code too
     long for that window, so the cost depends neither on pos nor on the
     length of buf. Raises ValueError for a code that runs past the end.
+    The envelope's delta decoder reads codes of up to 64 bits as arrays,
+    and calls this only for longer ones.
     """
     q = pos >> 3
     x = _from_bytes(buf[q:q + DELTA_WINDOW], "little") >> (pos & 7)
@@ -194,8 +196,11 @@ def _delta_read_long(buf, pos, x, z):
         x = _bits(buf, pos, 2 * z - 1)
     length = 1 << (z - 1) | (x >> z) & ((1 << (z - 1)) - 1)
     n = 2 * z - 2 + length
+    # the bits first: a length that the bytes cannot back raises here,
+    # before anything of that length is allocated
+    bits = _bits(buf, pos, n)
     top = 1 << (length - 1)
-    return top | (_bits(buf, pos, n) >> (2 * z - 1)) & (top - 1), pos + n
+    return top | (bits >> (2 * z - 1)) & (top - 1), pos + n
 
 
 def _bits(buf, pos, count):

@@ -22,6 +22,7 @@ from .textcore import (build_bundle, ingest, oracle_search, pattern_symbols,
 
 KINDS = list(envelope.KINDS)
 SUBSAMPLED_KINDS = ("sr-index", "sr-csa")
+HEADER_FIELD_END = 1 << 64   # s and B are stored as u64 header fields
 
 
 class BuiltIndex:
@@ -59,11 +60,12 @@ def build_index(data, kind, s=None, variant=0, block=DEFAULT_BLOCK,
     """Raw bytes -> BuiltIndex of the requested kind."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if block < 1:
-        raise ValueError("block size B must be at least 1")
+    if not 1 <= block < HEADER_FIELD_END:
+        raise ValueError("block size B must lie in 1 .. 2**64 - 1")
     if kind in SUBSAMPLED_KINDS:
-        if s is None or s < 1:
-            raise ValueError(f"{kind} needs a sampling distance s >= 1")
+        if s is None or not 1 <= s < HEADER_FIELD_END:
+            raise ValueError(f"{kind} needs a sampling distance s in "
+                             "1 .. 2**64 - 1")
         if variant not in (0, 1, 2):
             raise ValueError("variant must be 0, 1 or 2")
     else:
@@ -160,14 +162,15 @@ def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
 
 def index_stats(data):
     """Envelope bytes -> size breakdown in bits per symbol, the seconds
-    each section takes to decode, and the bytes each table of the loaded
-    index takes in memory."""
+    each section takes to decode and to encode again, and the bytes each
+    table of the loaded index takes in memory."""
     params = envelope.read_params(data)
     sizes = envelope.section_sizes(data)
     n = params["n"]
     per_section = {name: 8 * ln / n for name, ln in sizes.items()}
-    decode_s = {}
-    ix = envelope.deserialize(data, decode_s)[0]
+    decode_s, encode_s = {}, {}
+    ix, _, alphabet = envelope.deserialize(data, decode_s)
+    envelope.serialize(ix, alphabet, encode_s)
     return {
         **params,
         "bits_per_symbol": 8 * len(data) / n,
@@ -175,6 +178,7 @@ def index_stats(data):
         "locating_bps": envelope.locating_bits(data) / n,
         "section_bps": per_section,
         "section_decode_s": decode_s,
+        "section_encode_s": encode_s,
         "memory_bytes": memory_bytes(ix),
     }
 

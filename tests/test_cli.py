@@ -95,6 +95,20 @@ class TestStats:
         assert set(st["section_decode_s"]) == set(st["section_bps"])
         assert all(type(t) is float for t in st["section_decode_s"].values())
 
+    @pytest.mark.parametrize("kind", ["r-index", "r-csa", "sr-csa"])
+    def test_index_stats_encode_times(self, corpus, tmp_path, capsys, kind):
+        # the seconds serialize takes per section, next to the decode ones
+        idx = tmp_path / "ix.bin"
+        run(["build", str(corpus), "-o", str(idx), "--kind", kind]
+            + (["--s", "4", "--variant", "2"] if kind == "sr-csa" else []),
+            capsys)
+        rc, out, _ = run(["stats", str(idx)], capsys)
+        st = json.loads(out)
+        assert rc == 0
+        assert set(st["section_encode_s"]) == set(st["section_decode_s"])
+        assert all(type(t) is float and t >= 0
+                   for t in st["section_encode_s"].values())
+
     @pytest.mark.parametrize("variant", [0, 2])
     def test_index_stats_memory(self, corpus, tmp_path, capsys, variant):
         # the loaded index's tables by in-memory bytes: the per-gap phi
@@ -158,6 +172,11 @@ class TestErrors:
         ["stats", "CORPUS", "--bins", "0"],
         ["gen-corpus", "-o", "OUT", "--base-size", "0"],
         ["bench", "INDEX", "CORPUS", "--reps", "0"],
+        # s and B are u64 header fields
+        ["build", "CORPUS", "-o", "OUT", "--kind", "sr-index",
+         "--s", str(2**64)],
+        ["build", "CORPUS", "-o", "OUT", "--kind", "r-csa",
+         "--B", str(2**64)],
     ])
     def test_one_line_error_exit_2(self, argv, corpus, tmp_path, capsys):
         idx = tmp_path / "ix.bin"

@@ -1,19 +1,26 @@
-"""The array codecs of envelope.py against per-value reference decoders.
+"""The array codecs of envelope.py against per-value reference codecs.
 
 ref_ints_at and ref_sparse_from decode one value at a time, as the format
 was first read: slow, but plainly right. On well-formed payloads and on
 every single-byte mutation of them, the array decoders must return the
 same values, or raise the same exception with the same message.
+
+ref_delta_bytes and ref_delta_from code one Elias-delta gap at a time,
+with succinct.delta_append and succinct.delta_read. The array delta codec
+must write the same bytes, and read the same values from them; a mutated
+stream it must reject, or read as the reference does.
 """
 
 import random
 import struct
+from itertools import accumulate
 
 import pytest
 
-from srindex.envelope import (FormatError, _ef_shape, _ints_at,
-                              _sparse_bytes, _sparse_from, pack_ints)
-from srindex.succinct import SparseBitvector
+from srindex.envelope import (FormatError, _delta_bytes, _delta_from,
+                              _ef_shape, _ints_at, _sparse_bytes,
+                              _sparse_from, pack_ints)
+from srindex.succinct import SparseBitvector, delta_append, delta_read
 
 
 def ref_ints_at(blob, off):
@@ -61,6 +68,76 @@ def ref_sparse_from(blob):
     if prev > n:
         raise FormatError("sparse bitvector position beyond its length")
     return positions, n
+
+
+def ref_delta_bytes(values, block):
+    """_delta_bytes, one delta_append and one base-2 string per code."""
+    codes = []
+    nbits = 0
+    for i in range(1, len(values)):
+        if i % block:
+            code, width = delta_append(0, 0, values[i] - values[i - 1])
+            codes.append(format(code, f"0{width}b"))
+            nbits += width
+    stream = int("0" + "".join(reversed(codes)), 2).to_bytes(
+        (nbits + 7) // 8, "little")
+    return (struct.pack("<QQQ", len(values), block, nbits)
+            + pack_ints(values[::block]) + stream)
+
+
+def ref_delta_from(blob, block):
+    """_delta_from, one delta_read per code."""
+    m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
+    if B != block:
+        raise ValueError(f"delta block size {B} is not the header's {block}")
+    anchors, off = ref_ints_at(blob, 24)
+    stream = bytes(blob[off:])
+    if len(anchors) != -(-m // B):
+        raise ValueError("delta anchors do not match length and block")
+    if (len(stream) != (nbits + 7) // 8
+            or int.from_bytes(stream, "little") >> nbits):
+        raise ValueError("delta stream length does not match its bits")
+    values = []
+    pos = 0
+    for k, v in enumerate(anchors):
+        values.append(v)
+        for _ in range(min(B, m - k * B) - 1):
+            g, pos = delta_read(stream, pos)
+            v += g
+            values.append(v)
+        if k + 1 < len(anchors) and v >= anchors[k + 1]:
+            raise ValueError("delta block reaches the next anchor")
+    if pos != nbits:
+        raise ValueError("delta codes do not end at the stream's end")
+    return values
+
+
+def code_bits(gap):
+    """The length of gap's Elias-delta code."""
+    return 2 * gap.bit_length().bit_length() - 2 + gap.bit_length()
+
+
+def delta_values(rng, m, top):
+    """m increasing values from a random start, with gaps of every code
+    length up to that of top: single bits, short, and up to top."""
+    gaps = [rng.choice([1, 2, 3, rng.randrange(1, 1 << 20),
+                        rng.randrange(1, top + 1),
+                        1 << rng.randrange(top.bit_length())])
+            for _ in range(m - 1)]
+    return list(accumulate(gaps, initial=rng.randrange(1 << 30)))
+
+
+def delta_payloads(rng):
+    """(block, _delta_bytes payload, values) for B in 1, 2, 4, 64 and past
+    m, m in 1, B and B + 1 and more; gaps up to 2**62, whose codes take up
+    to 75 bits, and below 2**40, which fit a 64-bit word."""
+    for B in (1, 2, 4, 64, 1000):
+        for m in (1, 2, B, B + 1, 2 * B + 3, rng.randrange(1, 400)):
+            for top in (2**40, 2**62):
+                if B == 1000 and m > 400:
+                    continue
+                vals = delta_values(rng, m, top)
+                yield B, _delta_bytes(vals, B), vals
 
 
 def sparse_parts(blob):
@@ -147,6 +224,51 @@ class TestAgainstReference:
                     continue
                 assert got == want, b.hex()
         assert wider   # a flipped low bit at low_bits 0 makes one
+
+
+class TestDeltaAgainstReference:
+    def test_same_bytes_and_values(self):
+        rng = random.Random(72)
+        longest = straddled = wide = 0
+        for B, blob, vals in delta_payloads(rng):
+            assert blob == ref_delta_bytes(vals, B)
+            got = _delta_from(blob, B)
+            assert got.tolist() == vals == ref_delta_from(blob, B)
+            # uint64 where the values fit it
+            assert (got.dtype == object) == (max(vals) >= 2**64)
+            wide += got.dtype == object
+            at = 0
+            for i in range(1, len(vals)):
+                if i % B:
+                    bits = code_bits(vals[i] - vals[i - 1])
+                    longest = max(longest, bits)
+                    straddled += at // 64 != (at + bits - 1) // 64
+                    at += bits
+        assert longest > 64 and straddled and wide
+
+    def test_mutations_rejected_or_read_alike(self):
+        rng = random.Random(73)
+        read = 0
+        for B, blob, _ in delta_payloads(rng):
+            for b in mutations(rng, blob, 6):
+                want = outcome(lambda x: ref_delta_from(x, B), b)
+                got = outcome(lambda x: _delta_from(x, B).tolist(), b)
+                if isinstance(got, tuple):
+                    assert issubclass(got[0], (ValueError, struct.error))
+                assert isinstance(got, list) == isinstance(want, list)
+                if isinstance(got, list):
+                    assert got == want, b.hex()
+                    read += 1
+        assert read     # some mutations still make a valid stream
+
+    def test_wrapping_sums_are_exact(self):
+        # values past 2**64 with gaps that fit it: the uint64 running sums
+        # wrap inside a block, and are redone in Python ints
+        vals = [2**64 - 5, 2**64 - 1, 2**64 + 7, 2**65, 2**65 + 1]
+        for B in (1, 2, 4, 64):
+            blob = _delta_bytes(vals, B)
+            assert blob == ref_delta_bytes(vals, B)
+            assert _delta_from(blob, B).tolist() == vals
 
 
 class TestEdges:

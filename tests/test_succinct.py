@@ -6,6 +6,8 @@ from itertools import accumulate
 import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
+from test_codecs import ref_delta_from
+from srindex import envelope
 from srindex.envelope import (FormatError, _delta_bytes, _delta_from,
                               _ints_at, _sparse_bytes, _sparse_from, pack_ints)
 from srindex import succinct, toolkit
@@ -230,6 +232,13 @@ class TestDeltaCoding:
                 # whole, the code decodes, also with a byte after it
                 assert delta_read(buf + b"\x00", start) == (v, end)
 
+    def test_length_past_the_end_raises(self):
+        # a length field of 2**40 - 1 bits in a 10-byte buffer: the read
+        # is checked against the buffer before 2**40 bits are allocated
+        buf = ((2**39 - 1) << 40 | 1 << 39).to_bytes(10, "little")
+        with pytest.raises(ValueError, match="runs past the end"):
+            delta_read(buf, 0)
+
     def test_reads_only_the_bytes_of_its_code(self, long_seq):
         # bytes read per code are bounded by its own length, wherever it
         # lies in a 100,000-code stream
@@ -293,7 +302,8 @@ class TestBlockedDeltaSeq:
         for _ in range(40):
             m = rng.randrange(0, 80)
             vals = sorted(rng.sample(range(0, 5000), m))
-            assert _delta_from(_delta_bytes(vals, block), block) == vals
+            blob = _delta_bytes(vals, block)
+            assert _delta_from(blob, block).tolist() == vals
             seq = BlockedDeltaSeq(vals, 5000)
             assert list(seq.values) == vals
             for i, v in enumerate(vals, 1):
@@ -312,7 +322,7 @@ class TestBlockedDeltaSeq:
             vals = sorted(rng.sample(range(100_000), 300))
             blob = _delta_bytes(array("I", vals), block)
             assert _delta_bytes(vals, block) == blob
-            assert _delta_from(blob, block) == vals
+            assert _delta_from(blob, block).tolist() == vals
             m, B, nbits, anchors, stream = delta_parts(blob)
             assert (m, B, anchors) == (300, block, vals[::block])
             assert len(stream) == (nbits + 7) // 8
@@ -340,7 +350,7 @@ class TestBlockedDeltaSeq:
             assert delta_parts(blob) == (
                 len(vals), block, nbits, vals[::block],
                 stream.to_bytes((nbits + 7) // 8, "little"))
-            assert _delta_from(blob, block) == vals
+            assert _delta_from(blob, block).tolist() == vals
 
     def test_decoder_rejects_misfits(self):
         vals = list(range(0, 300, 3))
@@ -364,33 +374,51 @@ class TestBlockedDeltaSeq:
         ]:
             with pytest.raises(ValueError):
                 _delta_from(delta_blob(*bad), 8)
-        assert _delta_from(delta_blob(*parts), 8) == vals
+        assert _delta_from(delta_blob(*parts), 8).tolist() == vals
         # the same values at B = 4 decode only against a header B of 4
         blob = _delta_bytes(vals, 4)
-        assert _delta_from(blob, 4) == vals
+        assert _delta_from(blob, 4).tolist() == vals
         with pytest.raises(ValueError):
             _delta_from(blob, 8)
 
     @pytest.mark.parametrize("m", [1_000, 100_000])
-    def test_decode_reads_each_code_once(self, m, long_seq, monkeypatch):
-        # gaps capped so that the anchors fit packed ints of 255 bits
-        vals = list(accumulate((min(b - a, 1 << 40) for a, b in
+    def test_decode_reads_only_long_codes(self, m, long_seq, monkeypatch):
+        # the decoder reads codes of up to 64 bits from arrays, and calls
+        # delta_read once for each longer one, at its start; gaps capped
+        # so that the anchors fit packed ints of 255 bits
+        vals = list(accumulate((min(b - a, 1 << 70) for a, b in
                                 zip(long_seq, long_seq[1:m])), initial=0))
         blob = _delta_bytes(vals, 64)
+        long_at, at = [], 0
+        for i in range(1, m):
+            if i % 64:
+                bits = delta_append(0, 0, vals[i] - vals[i - 1])[1]
+                if bits > 64:
+                    long_at.append(at)
+                at += bits
         calls = counting_reads(monkeypatch)
-        assert _delta_from(blob, 64) == vals
-        assert len(calls) == m - -(-m // 64)
-        assert all(a < b for a, b in zip(calls, calls[1:]))
+        assert _delta_from(blob, 64).tolist() == vals == ref_delta_from(
+            blob, 64)
+        assert calls == long_at
+        assert bool(long_at) == (m == 100_000)      # the WIDE gaps
 
-    def test_load_reads_each_code_once(self, monkeypatch):
+    def test_load_reads_only_long_codes(self, monkeypatch):
+        # an index's Psi values lie within its text, so no code is long
         data = b"abracadabra" * 20 + b"cadabra" * 7
         blob = toolkit.build_index(data, "r-csa", block=4).serialize()
-        ix = toolkit.load_index(blob).ix
-        sizes = [len(seq) for seq in ix.runs.heads.values()]
-        want = sum(m - -(-m // 4) for m in sizes)
         calls = counting_reads(monkeypatch)
-        toolkit.load_index(blob)
-        assert want > 0 and len(calls) == 2 * want   # heads and tails
+        runs = toolkit.load_index(blob).ix.runs
+        assert calls == []
+        for name, want in (("psi_heads", runs.heads), ("psi_tails",
+                                                       runs.tails)):
+            payload = envelope._open(blob)[2][name]
+            (count,) = struct.unpack_from("<I", payload, 0)
+            off, got = 4, {}
+            for c in range(1, count + 1):
+                (ln,) = struct.unpack_from("<Q", payload, off)
+                got[c] = ref_delta_from(payload[off + 8:off + 8 + ln], 4)
+                off += 8 + ln
+            assert got == {c: list(v) for c, v in want.items()}
 
     @pytest.mark.parametrize("kind,s,variant", [
         ("r-csa", None, 0), ("sr-csa", 4, 0), ("sr-csa", 4, 1),
@@ -408,7 +436,8 @@ class TestBlockedDeltaSeq:
         assert calls == []
 
     def test_zero_first_value(self):
-        assert _delta_from(_delta_bytes([0, 1, 5], 8), 8) == [0, 1, 5]
+        blob = _delta_bytes([0, 1, 5], 8)
+        assert _delta_from(blob, 8).tolist() == [0, 1, 5]
         seq = BlockedDeltaSeq([0, 1, 5], 5)
         assert list(seq.values) == [0, 1, 5]
         assert seq.pred(0) == (0, 1)

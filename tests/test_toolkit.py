@@ -37,6 +37,26 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             toolkit.build_index(data, "sr-csa", s=4, variant=3)
 
+    @pytest.mark.parametrize("kind", ["sr-index", "sr-csa", "r-csa"])
+    def test_parameters_fit_the_header(self, kind):
+        # s and B are u64 header fields: past them, serialize used to die
+        # with struct.error after the whole build
+        s = 4 if kind in toolkit.SUBSAMPLED_KINDS else None
+        for bad in ({"block": 2**64}, {"block": 2**70}, {"block": 0}) + (
+                ({"s": 2**64},) if s else ()):
+            with pytest.raises(ValueError, match="1 .. 2"):
+                toolkit.build_index(b"abracadabra", kind,
+                                    **{"s": s, **bad})
+        # the largest values fit, build, load and answer
+        top = 2**64 - 1
+        bi = toolkit.build_index(b"abracadabra" * 5, kind,
+                                 s=top if s else None, block=top)
+        blob = bi.serialize()
+        loaded = toolkit.load_index(blob)
+        assert loaded.serialize() == blob
+        assert sorted(loaded.locate(b"abra")) == oracle_search(
+            ingest(b"abracadabra" * 5), b"abra")[1]
+
     def test_query_facade(self):
         rng = random.Random(60)
         data = random_text(rng, 180, 4)
@@ -300,6 +320,8 @@ def layout_edits(blob):
 
 # one Elias-delta code: (bits as an int, bit count)
 GAP_30 = delta_append(0, 0, 30)
+# a code whose length field says 2**40 - 1 bits, in a stream of 80
+LENGTH_PAST_STREAM = ((2**39 - 1) << 40 | 1 << 39).to_bytes(10, "little")
 
 
 class TestEnvelope:
@@ -457,11 +479,13 @@ class TestEnvelope:
         # loaded, they would be written back at B = 4
         ("r-csa", "psi_heads", 2, {1: 2, 2: gap_codes(11)[0], 3: [1, 27],
                                    4: gap_codes(11)[1]}),
+        # read, it used to allocate the 2**40-bit value: a MemoryError
+        ("r-csa", "psi_heads", 2, {2: 80, 4: LENGTH_PAST_STREAM}),
     ], ids=["zeroed", "cut-short", "codes-run-out", "past-nbits", "block-0",
             "few-anchors", "many-anchors", "anchors-decrease", "long-stream",
             "sr-csa-tails-zeroed", "tails-fewer-than-heads",
             "r-csa-gap-past-anchor", "sr-csa-gap-past-anchor",
-            "block-not-header"])
+            "block-not-header", "length-past-stream"])
     def test_crafted_delta_stream_rejected(self, kind, section, c, change):
         # CRC-valid envelopes whose delta stream does not fit its m and B;
         # a stream with too few codes used to make the loader spin forever
@@ -501,6 +525,33 @@ class TestEnvelope:
         finally:
             tracemalloc.stop()
         # the count is checked before the decoder allocates its arrays
+        assert peak < 10**6
+
+    @pytest.mark.parametrize("kind", ["r-csa", "sr-csa"])
+    def test_crafted_delta_count_rejected(self, kind):
+        # symbol 2's heads [1, 12, 27] claim m = 2**62 values, at a block
+        # size of 2**62 in the header and in every stream, so that one
+        # anchor fits them: the 2**62 - 1 codes their 16 bits cannot hold
+        # must be rejected before anything of that count is allocated
+        blob = toolkit.build_index(b"abracadabra" * 5, kind,
+                                   s=4 if kind == "sr-csa" else None,
+                                   block=4).serialize()
+        fields = delta_fields(envelope._open(blob)[2]["psi_heads"])
+        assert fields[1][:4] == [3, 4, 16, [1]]
+        for f in fields:
+            f[1] = 2**62
+        fields[1][0] = 2**62
+        head = resealed(blob[:44] + struct.pack("<Q", 2**62) + blob[52:])
+        bad = reseal(head, "psi_heads", delta_payload(fields))
+        assert envelope.read_params(bad)["block"] == 2**62
+        tracemalloc.start()
+        try:
+            with time_limit(10), pytest.raises(envelope.FormatError,
+                                               match="codes do not fit"):
+                toolkit.load_index(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 10**6
 
     @pytest.mark.parametrize("kind", toolkit.SUBSAMPLED_KINDS)
