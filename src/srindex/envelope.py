@@ -15,7 +15,8 @@ phi tables and `removed` into their per-run sample slots, and keep no
 copy of them; the run-length BWT turns `start` and `letters` into its
 per-run starts and LF images; the Psi runs lay the per-symbol heads end
 to end and drop their tails. Those sections are derived again on write,
-as attributes of the same names.
+as attributes of the same names (mark_map, first_to_run and i_psi as
+numpy arrays, under the name plus "_array").
 
 The codecs are array work, in both directions. Packed ints (INTS, the
 Elias-Fano low parts, the delta anchors) are one gather of 64-bit words
@@ -435,7 +436,10 @@ DELTAS = (_deltas_bytes, _deltas_from)
 
 # A layer is (class, the argument name the next layer gets it under,
 # header fields its constructor takes, rows); a row is (section, attribute
-# and constructor argument, codec). The counting layers are shared.
+# and constructor argument, codec). The counting layers are shared. A
+# class that derives a section's table as a numpy array gives it as the
+# attribute plus "_array" (mark_map, first_to_run, i_psi), which the
+# writer reads instead of the list-valued attribute.
 RLBWT = (RunLengthBWT, "rl", ("n", "sigma"), [
     ("start", "start", SPARSE),
     ("letters", "letters", INTS),
@@ -658,7 +662,9 @@ def serialize(ix, alphabet, times=None):
         head.update((f, getattr(obj, f)) for f in layer[2])
     # (section, its value when called, encoder)
     todo = [("alphabet", lambda: list(alphabet), INTS[0])] + [
-        (name, partial(getattr, obj, attr), encode)
+        (name, partial(getattr, obj, attr + "_array"
+                       if hasattr(type(obj), attr + "_array") else attr),
+         encode)
         for obj, rows in zip(objs, _rows(kind, head["variant"]))
         for name, attr, (encode, _) in rows]
     sections = {}

@@ -63,9 +63,12 @@ class PsiRuns(BackwardSearch):
                 for c in range(1, self.sigma + 1)}
 
     @property
-    def i_psi(self):
-        """Run starts without the sentinel: format v1's section."""
-        return self.starts[:-1].tolist()
+    def i_psi_array(self):
+        """Run starts without the sentinel, format v1's i_psi, as an
+        array view of starts."""
+        return np.frombuffer(self.starts, dtype=self.starts.typecode)[:-1]
+
+    i_psi = property(lambda self: self.i_psi_array.tolist())
 
     @property
     def heads(self):
@@ -130,8 +133,9 @@ def build_psi_runs(bundle, block=DEFAULT_BLOCK):
     n = bundle.n
     sigma = bundle.text.sigma
     psi = bundle.psi
-    # C[c] = number of symbols smaller than c; the bwt holds every symbol
-    counts = np.bincount(bundle.bwt, minlength=sigma + 1)
+    # C[c] = number of symbols smaller than c; the bwt is a permutation of
+    # the text, whose int64 symbols bincount reads without a cast
+    counts = np.bincount(bundle.text.symbols, minlength=sigma + 1)
     C = np.concatenate(([0, 0], np.cumsum(counts[1:])))
     # a run breaks where Psi does not go up by one, and at each C boundary
     brk = psi[1:] != psi[:-1] + 1

@@ -33,9 +33,13 @@ class RIndex(SrIndex):
     samples = property(lambda self: self.samples_sub)
 
     @property
-    def first_to_run(self):
-        slots = np.array(self.mark_map, dtype=np.int64)
-        return np.where(slots < self.rl.r, slots + 1, 1).tolist()
+    def first_to_run_array(self):
+        """k-th mark -> its run, the format's first_to_run as an array:
+        the run after the one whose sample the mark pairs with."""
+        slots = self.mark_map_array
+        return np.where(slots < self.rl.r, slots + 1, 1)
+
+    first_to_run = property(lambda self: self.first_to_run_array.tolist())
 
     # own names: the benchmark's tracer wraps methods in the class __dict__
     phi = SrIndex.phi

@@ -162,17 +162,25 @@ class Subsampled:
         return table[1:] if self.DIR < 0 else table[:-1]
 
     @property
-    def mark_map(self):
+    def mark_map_array(self):
         """k-th mark -> slot of its sample in samples_sub, the format's
-        table, derived from offs (SA samples are distinct)."""
+        mark_map as an int64 array, derived from offs (SA samples are
+        distinct). Each mark's sample is searched for among the sorted
+        samples, the searched values in sorted order too, which is what
+        makes searchsorted fast."""
         samples = np.frombuffer(self.samples_sub,
                                 dtype=self.samples_sub.typecode)
         want = (self._per_mark(np.frombuffer(self.offs, dtype=np.int64))
                 + np.array(self.marks.positions, dtype=np.int64)
                 - self.SHIFT)
         order = np.argsort(samples)
-        return (order[np.searchsorted(samples, want, sorter=order)]
-                + 1).tolist()
+        by_want = np.argsort(want)
+        slots = np.empty(want.size, dtype=np.int64)
+        slots[by_want] = order[np.searchsorted(
+            samples[order].astype(np.int64), want[by_want])] + 1
+        return slots
+
+    mark_map = property(lambda self: self.mark_map_array.tolist())
 
     @property
     def valid(self):

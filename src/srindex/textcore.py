@@ -2,11 +2,16 @@
 
 Symbols are remapped to a compact alphabet [1..sigma] preserving byte
 order, with symbol 1 reserved for the terminator (appended if missing).
-The bundle's sa, isa, bwt and psi are 0-indexed int64 numpy arrays holding
-1-based values: sa[i-1] = SA[i] is the start of the i-th smallest suffix.
+The bundle's sa, bwt and psi are 0-indexed numpy arrays holding 1-based
+values: sa[i-1] = SA[i] is the start of the i-th smallest suffix.
 BWT[i] = T[SA[i]-1] with T[0] wrapping to the terminator, and
 Psi(i) = ISA[(SA[i] mod n) + 1]. The suffix array comes from prefix
 doubling that re-sorts only the groups of suffixes not yet told apart.
+
+The write path holds its n-sized arrays in the narrowest index type,
+int32 while every value it computes (up to n + 1) fits, else int64
+(index_dtype); only the text's symbols and the suffix sort's packed keys
+are int64, and the bwt holds one or two bytes a symbol.
 """
 
 import numpy as np
@@ -52,7 +57,11 @@ def flatten_fasta(data):
 def ingest(data, fasta=False):
     """bytes -> Text. Rejects empty input and interior terminator bytes.
     The symbols are one int64 array: the bytes mapped through a 256-entry
-    lookup table, then the terminator."""
+    lookup table, then the terminator. Neither step makes an n-sized
+    temporary wider than a byte: np.add.at and the table lookup cast the
+    bytes to indices a buffer at a time (np.bincount and np.take would
+    cast them all, 8 bytes a symbol), and the table holds symbol - 1,
+    which fits a byte."""
     if fasta:
         data = flatten_fasta(data)
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -60,21 +69,35 @@ def ingest(data, fasta=False):
         raw = raw[:-1]
     if not raw.size:
         raise ValueError("empty input")
-    present = np.flatnonzero(np.bincount(raw, minlength=256))
+    counts = np.zeros(256, dtype=np.int64)
+    np.add.at(counts, raw, 1)
+    present = np.flatnonzero(counts)
     if present[0] == TERMINATOR:
         raise ValueError("terminator byte 0x00 inside the text")
-    code = np.zeros(256, dtype=np.int64)
-    code[present] = np.arange(2, present.size + 2)
+    code = np.zeros(256, dtype=np.uint8)
+    code[present] = np.arange(1, present.size + 1)
     symbols = np.empty(raw.size + 1, dtype=np.int64)
-    np.take(code, raw, out=symbols[:-1])
+    np.add(code[raw], 1, out=symbols[:-1], dtype=np.int64)
     symbols[-1] = 1
     return Text(symbols, [TERMINATOR] + present.tolist())
+
+
+# the largest value an int32 index array may hold; the write path holds
+# its n-sized arrays in int32 while every value it computes, up to n + 1,
+# stays within it
+INT32_MAX = 2**31 - 1
+
+
+def index_dtype(n):
+    """The integer type of the write path's n-sized arrays for a text of
+    n symbols: int32 when n + 1 fits INT32_MAX, else int64."""
+    return np.int32 if n + 1 <= INT32_MAX else np.int64
 
 
 def _suffix_array(symbols):
     """Suffix array by prefix doubling that re-sorts only unfinished groups
     (Larsson and Sadakane, Faster suffix sorting, TCS 2007); returns the
-    0-based suffix starts as an int64 array.
+    0-based suffix starts as an array of index_dtype(n).
 
     symbols must end with a unique smallest symbol, the terminator, so a
     suffix whose sorted prefix reaches it is alone in its group. Ranks
@@ -83,69 +106,104 @@ def _suffix_array(symbols):
     members of unfinished groups on (group head, rank of the suffix h
     further on). A group head is the group's first slot in the order, so a
     rank is final once its group is a singleton.
+
+    Only the packed sort keys are int64; the order, the ranks, the
+    unfinished slots and their heads are index_dtype(n). The first sort
+    need not be stable: its keys tie only where the suffixes' groups
+    tie, and later rounds order each group's members by their own keys.
     """
     a = np.asarray(symbols, dtype=np.int64)
     n = a.size
+    dt = index_dtype(n)
     bits = int(a.max()).bit_length()
     h = 62 // bits
+    # Horner: shift the key one symbol left, then OR in the next symbol
     key = np.zeros(n, dtype=np.int64)
-    for j in range(min(h, n)):
-        key[:n - j] |= a[j:] << (bits * (h - 1 - j))
-    order = np.argsort(key, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    todo = _regroup(np.arange(n), key[order], order, rank)
+    for j in range(h):
+        key <<= bits
+        if j < n:
+            key[:n - j] |= a[j:]
+    order = np.argsort(key).astype(dt)
+    key = key[order]
+    rank = np.empty(n, dtype=dt)
+    todo, heads = _regroup(np.arange(n, dtype=dt), key, order, rank)
+    del key
     while todo.size:
         idx = order[todo]
         # an unfinished suffix does not reach the terminator: idx + h < n
-        key = rank[idx] * (n + 1) + rank[idx + h] + 1
+        key = np.multiply(heads, n + 1, dtype=np.int64)
+        del heads
+        key += rank[idx + h]
         perm = np.argsort(key, kind="stable")
         idx = idx[perm]
+        key = key[perm]
+        del perm
         order[todo] = idx
-        todo = _regroup(todo, key[perm], idx, rank)
+        todo, heads = _regroup(todo, key, idx, rank)
+        del key, idx
         h *= 2
     return order
 
 
 def _regroup(slots, keys, idx, rank):
     """Split the sorted members of unfinished groups, which sit at slots
-    of the order, by their sorted keys: each suffix idx gets its new
-    group's head as rank. Returns the slots still in groups of two or
-    more."""
+    of the order (increasing), by their sorted keys: each suffix idx gets
+    its new group's head as rank. Returns the slots still in groups of two
+    or more, and their heads."""
     m = slots.size
-    new = np.empty(m, dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=m)
-    rank[idx] = np.repeat(slots[starts], sizes)
-    return slots[np.repeat(sizes > 1, sizes)]
+    new = np.empty(m + 1, dtype=bool)
+    new[0] = new[m] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:m])
+    # slots increase, so a slot's head is the largest new-group slot so far
+    heads = np.where(new[:m], slots, 0)
+    np.maximum.accumulate(heads, out=heads)
+    rank[idx] = heads
+    # a singleton starts a group and the next slot starts another
+    keep = ~(new[:m] & new[1:])
+    return slots[keep], heads[keep]
 
 
 class SuffixBundle:
-    """sa/isa/bwt/psi as 0-indexed int64 numpy arrays holding 1-based
-    values. The builders cut their run tables from these arrays and keep
-    only r-sized results, as Python ints."""
+    """sa/bwt/psi as 0-indexed numpy arrays holding 1-based values: sa and
+    psi of index_dtype(n), bwt of the narrowest unsigned type that holds
+    sigma. isa is computed from sa when read; the builders do not read
+    it. The builders cut their run tables from these arrays and keep only
+    r-sized results, as Python ints."""
 
-    def __init__(self, text, sa, isa, bwt, psi):
+    def __init__(self, text, sa, bwt, psi):
         self.text = text
         self.n = text.n
         self.sa = sa
-        self.isa = isa
         self.bwt = bwt
         self.psi = psi
+
+    @property
+    def isa(self):
+        """ISA as a 0-indexed array of 1-based values: isa[SA[i] - 1] = i."""
+        isa = np.empty(self.n, dtype=self.sa.dtype)
+        isa[self.sa - 1] = np.arange(1, self.n + 1, dtype=self.sa.dtype)
+        return isa
 
 
 def build_bundle(text):
     n = text.n
     symbols = text.symbols
     sa = _suffix_array(symbols)
-    isa = np.empty(n, dtype=np.int64)
-    isa[sa] = np.arange(1, n + 1, dtype=np.int64)
-    # sa - 1 is -1 for the suffix at 0: it wraps to the terminator
-    bwt = symbols[sa - 1]
-    psi = isa[(sa + 1) % n]
+    dt = sa.dtype
+    # prev[k] = T[k - 1] cyclically (0-based k), so the bwt is prev[sa]
+    prev = np.empty(n, dtype=np.min_scalar_type(text.sigma))
+    prev[0] = symbols[-1]
+    prev[1:] = symbols[:-1]
+    bwt = prev[sa]
+    del prev
+    # isa, 1-based values, with one more slot that wraps the text around:
+    # Psi(i) = ISA[SA[i] + 1] reads slot n for the suffix at n - 1
+    isa = np.empty(n + 1, dtype=dt)
+    isa[sa] = np.arange(1, n + 1, dtype=dt)
+    isa[n] = isa[0]
     sa += 1
-    return SuffixBundle(text, sa, isa, bwt, psi)
+    psi = isa[sa]
+    return SuffixBundle(text, sa, bwt, psi)
 
 
 def oracle_search(text, pattern):

@@ -257,32 +257,36 @@ def verify(data, kinds=None, s_values=(4, 8), seed=0,
     rl = build_rlbwt(bundle)
     rindex = build_rindex(bundle, rl)
     rcsa = build_rcsa(bundle)
-    report = {"n": text.n, "kinds": {}, "patterns": len(patterns)}
-    ok = True
+    indexes = {}
     for kind in kinds:
-        mismatches = 0
-        checked = 0
         if kind in SUBSAMPLED_KINDS:
             sub, full = ((subsample_rindex, rindex) if kind == "sr-index"
                          else (subsample_rcsa, rcsa))
-            indexes = [sub(full, s, v) for s in s_values for v in (0, 1, 2)]
+            indexes[kind] = [sub(full, s, v) for s in s_values
+                             for v in (0, 1, 2)]
         else:
-            indexes = [{"rlbwt": rl, "r-index": rindex, "r-csa": rcsa}[kind]]
-        for ix in indexes:
-            for pat in patterns:
-                occ, positions = oracle_search(text, pat)
-                syms = text.map_pattern(pat)
+            indexes[kind] = [{"rlbwt": rl, "r-index": rindex,
+                              "r-csa": rcsa}[kind]]
+    report = {"n": text.n,
+              "kinds": {kind: {"checked": 0, "mismatches": 0}
+                        for kind in indexes},
+              "patterns": len(patterns)}
+    # one scan per pattern, checked against every index while it is held
+    for pat in patterns:
+        occ, positions = oracle_search(text, pat)
+        syms = text.map_pattern(pat)
+        for kind, ixs in indexes.items():
+            tally = report["kinds"][kind]
+            for ix in ixs:
+                tally["checked"] += 1
                 got_occ = 0 if syms is None else ix.count(syms)
-                checked += 1
                 if got_occ != occ:
-                    mismatches += 1
-                    continue
-                if kind != "rlbwt":
+                    tally["mismatches"] += 1
+                elif kind != "rlbwt":
                     got = [] if syms is None else sorted(ix.locate(syms))
                     if got != positions:
-                        mismatches += 1
-        report["kinds"][kind] = {"checked": checked, "mismatches": mismatches}
-        ok = ok and mismatches == 0
+                        tally["mismatches"] += 1
+    ok = all(t["mismatches"] == 0 for t in report["kinds"].values())
     return ok, report
 
 

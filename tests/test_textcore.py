@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_occurrences, naive_suffix_array, random_text
-from srindex import toolkit
+from srindex import textcore, toolkit
 from srindex.rcsa import build_psi_runs, build_rcsa
 from srindex.rindex import build_rindex
 from srindex.rlbwt import build_rlbwt
@@ -19,6 +19,28 @@ except ImportError:  # the property below is skipped without hypothesis
     given = settings = st = None
 
 T1 = b"abaaba"
+
+
+def traced(fn, *args):
+    """fn(*args) under tracemalloc: (result, peak bytes above the memory
+    held before the call, bytes still held after it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, kept - before
+
+
+@pytest.fixture(params=["int32", "int64"])
+def width(request, monkeypatch):
+    """Runs a test on both index widths: int64 by lowering the int32
+    limit below every text's n + 1."""
+    if request.param == "int64":
+        monkeypatch.setattr(textcore, "INT32_MAX", 0)
+    return np.dtype(request.param)
 
 
 class TestIngest:
@@ -56,6 +78,14 @@ class TestIngest:
         assert flatten_fasta(data) == b"ACGTACGG"
         t = ingest(data, fasta=True)
         assert t.n == 9
+
+    def test_memory(self):
+        # the int64 symbols and one byte a symbol of lookup results: the
+        # counting and the lookup cast no n-sized index array
+        data = toolkit.gen_corpus(100_000, 4, 0.001, seed=3)
+        t, peak, _ = traced(ingest, data)
+        assert t.n == len(data) + 1
+        assert peak <= 10 * t.n, peak / t.n
 
     def test_pattern_mapping(self):
         t = ingest(T1)
@@ -98,6 +128,21 @@ class TestBundle:
         b = build_bundle(ingest(b"aaaa"))
         assert b.sa.tolist() == [5, 4, 3, 2, 1]
 
+    def test_widths(self, width):
+        b = build_bundle(ingest(T1))
+        assert b.sa.dtype == b.psi.dtype == b.isa.dtype == width
+        assert b.sa.tolist() == [7, 6, 3, 4, 1, 5, 2]
+        assert b.isa.tolist() == [5, 7, 3, 4, 6, 2, 1]
+        assert b.psi.tolist() == [5, 1, 4, 6, 7, 2, 3]
+
+    def test_bwt_dtype(self):
+        # the narrowest unsigned type that holds sigma
+        assert build_bundle(ingest(T1)).bwt.dtype == np.uint8
+        every = bytes(range(1, 256))
+        b = build_bundle(ingest(every))
+        assert b.bwt.dtype == np.uint16
+        assert sorted(b.bwt.tolist()) == list(range(1, 257))
+
 
 def suffix_array(data):
     """1-based suffix array of data by _suffix_array, as a list."""
@@ -109,6 +154,22 @@ def naive_sa(data):
 
 
 class TestSuffixArray:
+    def test_index_dtype(self, monkeypatch):
+        # every value the write path computes, up to n + 1, must fit
+        assert textcore.index_dtype(2**31 - 2) == np.int32
+        assert textcore.index_dtype(2**31 - 1) == np.int64
+        monkeypatch.setattr(textcore, "INT32_MAX", 10)
+        assert textcore.index_dtype(9) == np.int32
+        assert textcore.index_dtype(10) == np.int64
+
+    def test_both_widths_against_naive(self, width, rng):
+        for _ in range(60):
+            data = random_text(rng, rng.randrange(1, 300),
+                               rng.choice([1, 2, 4, 26]))
+            sa = _suffix_array(ingest(data).symbols)
+            assert sa.dtype == width
+            assert (sa + 1).tolist() == naive_sa(data)
+
     def test_shortest_texts(self):
         assert _suffix_array([1]).tolist() == [0]
         assert _suffix_array([2, 1]).tolist() == [1, 0]
@@ -190,18 +251,29 @@ class TestBuilders:
                                    variant=variant).serialize()
         assert hashlib.sha256(blob).hexdigest() == PINNED[kind, s, variant]
 
+    @pytest.mark.parametrize("kind,s,variant", list(PINNED))
+    def test_envelopes_pinned_int64(self, kind, s, variant, monkeypatch):
+        # the int64 write path, which texts of 2**31 - 2 symbols and more
+        # take, builds the same envelopes
+        monkeypatch.setattr(textcore, "INT32_MAX", 0)
+        assert build_bundle(ingest(T1)).sa.dtype == np.int64
+        self.test_envelopes_pinned(kind, s, variant)
+
     def test_bundle_memory(self):
-        # the bundle keeps four int64 arrays, 32 bytes a symbol
-        tracemalloc.start()
-        try:
-            text = ingest(CORPUS)
-            before = tracemalloc.get_traced_memory()[0]
-            b = build_bundle(text)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        # the bundle keeps sa and psi as int32 and the bwt as one byte a
+        # symbol: 9 bytes a symbol
+        text = ingest(CORPUS)
+        b, _, kept = traced(build_bundle, text)
         assert b.n == text.n
-        assert kept <= 40 * text.n, kept / text.n
+        assert kept <= 12 * text.n, kept / text.n
+
+    def test_build_peak_memory(self):
+        # the suffix sort's peak: int32 order and ranks, and one round's
+        # int64 keys and permutation with its int32 slots, heads and
+        # suffixes
+        text = ingest(CORPUS)
+        _, peak, _ = traced(build_bundle, text)
+        assert peak <= 45 * text.n, peak / text.n
 
 
 class TestOracleSearch:

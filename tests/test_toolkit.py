@@ -775,6 +775,35 @@ class TestVerify:
         for rep in report["kinds"].values():
             assert rep["mismatches"] == 0 and rep["checked"] > 0
 
+    def test_one_scan_per_pattern(self, monkeypatch):
+        # the scan answers each pattern once, for every kind, s and variant
+        calls = []
+
+        def counted(text, pat):
+            calls.append(pat)
+            return oracle_search(text, pat)
+
+        monkeypatch.setattr(toolkit, "oracle_search", counted)
+        data = toolkit.gen_corpus(1500, 3, 0.01, seed=3)
+        ok, report = toolkit.verify(data, s_values=(2, 4), seed=0)
+        assert ok and len(calls) == report["patterns"]
+
+    def test_mismatches_counted_per_kind(self, monkeypatch):
+        # a wrong answer for one pattern is one mismatch per index built
+        def off_by_one(text, pat):
+            occ, positions = oracle_search(text, pat)
+            return (occ + 1, positions) if pat == b"\xff\xfe" else \
+                (occ, positions)
+
+        monkeypatch.setattr(toolkit, "oracle_search", off_by_one)
+        ok, report = toolkit.verify(b"abracadabra" * 5, s_values=(2, 4),
+                                    kinds=["r-csa", "sr-index"])
+        assert not ok
+        assert report["kinds"] == {
+            "r-csa": {"checked": report["patterns"], "mismatches": 1},
+            "sr-index": {"checked": 6 * report["patterns"],
+                         "mismatches": 6}}
+
     def test_size_guard_threshold(self):
         import srindex.toolkit as tk
         old = tk.VERIFY_MAX_N
