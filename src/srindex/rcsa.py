@@ -154,7 +154,7 @@ def build_psi_runs(bundle, block=DEFAULT_BLOCK):
 def build_rcsa(bundle, block=DEFAULT_BLOCK):
     runs = build_psi_runs(bundle, block)
     sa = bundle.sa
-    i_psi = np.array(runs.starts[:-1], dtype=np.int64)
+    i_psi = runs.i_psi_array.astype(np.int64)
     # the tail of run q is marked with SA there, paired with the head
     # sample of run q+1 (wrapping to run 1)
     marks = sa[np.append(i_psi[1:] - 1, runs.n) - 1]
