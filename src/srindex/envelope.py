@@ -13,10 +13,12 @@ directories and derived tables are rebuilt on load: the locating kinds
 turn mark_map (first_to_run), valid and valid_area into their per-gap
 phi tables and `removed` into their per-run sample slots, and keep no
 copy of them; the run-length BWT turns `start` and `letters` into its
-per-run starts and LF images; the Psi runs lay the per-symbol heads end
-to end and drop their tails. Those sections are derived again on write,
-as attributes of the same names (mark_map, first_to_run and i_psi as
-numpy arrays, under the name plus "_array").
+per-run starts and LF images, in run order and in symbol order; the Psi
+runs lay the per-symbol heads end to end and drop their tails. Those
+sections are derived again on write, as attributes of the same names
+(mark_map, first_to_run and i_psi as numpy arrays, under the name plus
+"_array"). A sparse bitvector decodes straight to the narrow array its
+positions are held in, and is written from a numpy view of it.
 
 The codecs are array work, in both directions. Packed ints (INTS, the
 Elias-Fano low parts, the delta anchors) are one gather of 64-bit words
@@ -54,7 +56,7 @@ from .rlbwt import RunLengthBWT
 from .srcsa import SrCsa
 from .srindex import SrIndex
 from . import succinct
-from .succinct import WORD, DenseBitvector, SparseBitvector, delta_append
+from .succinct import WORD, DenseBitvector, SparseBitvector, delta_append, view
 
 WORDS = np.dtype("<u8")  # the payload words of packed ints and bitvectors
 
@@ -188,7 +190,7 @@ def _sparse_bytes(bv):
     bitvector where the k-th one (from 0) sits at bit high_k + k."""
     n, ones = bv.n, bv.ones
     low_bits, high_n = _ef_shape(n, ones)
-    pos = np.asarray(bv.positions, dtype=np.uint64) - np.uint64(1)
+    pos = view(bv.positions).astype(np.uint64) - np.uint64(1)
     high = np.zeros(WORD * -(-high_n // WORD), dtype=np.uint8)
     high[(pos >> np.uint64(low_bits)).astype(np.intp) + np.arange(ones)] = 1
     return (struct.pack("<QQB", n, ones, low_bits)
@@ -200,8 +202,8 @@ def _sparse_bytes(bv):
 def _ef_shape(n, ones):
     """Elias-Fano (low_bits, high_n) of ones positions within 1..n: the
     bits kept per low part and the bit count of the high part."""
-    low_bits = max(0, (n // ones).bit_length() - 1) if ones else 0
-    return low_bits, ones + ((n - 1) >> low_bits if n else 0)
+    low = succinct.low_bits(n, ones)
+    return low, ones + ((n - 1) >> low if n else 0)
 
 
 def _sparse_from(blob):
@@ -227,8 +229,8 @@ def _sparse_from(blob):
     # past high_n gives a high part whose shift would not fit 64 bits
     if ones and int(hi[-1]) << low_bits | int(lows[-1]) >= n:
         raise FormatError("sparse bitvector position beyond its length")
-    return SparseBitvector(
-        ((hi << np.uint64(low_bits) | lows) + np.uint64(1)).tolist(), n)
+    return SparseBitvector((hi << np.uint64(low_bits) | lows) + np.uint64(1),
+                           n)
 
 
 def _bit_length(a):
@@ -550,7 +552,7 @@ def _areas_fit(marks):
         area = v["valid_area"]
         if not len(area):
             return True
-        pos = np.array(v[marks].positions, dtype=np.int64)
+        pos = view(v[marks].positions).astype(np.int64)
         wrap = [pos[0] + h["n"] - pos[-1]]
         gaps = np.concatenate((wrap, np.diff(pos)) if marks == "marks_l"
                               else (np.diff(pos), wrap))
@@ -728,9 +730,9 @@ def _open(data):
             f in taken and head[f] < 1 for f in ("s", "block")) or any(
             head[f] for f in ("s", "block", "variant") if f not in taken):
         raise FormatError(f"header parameters do not fit {kind}")
-    if n >= (1 << 63) - 1:
-        # the run tables are built with int64 arithmetic on positions up
-        # to n + 1
+    if n >= 1 << 62:
+        # the run and phi tables are built with int64 arithmetic on
+        # positions up to 2n, and lim's sentinels lie beyond them
         raise FormatError("header n does not fit the 64-bit run tables")
     body_off = 56 + 32 * count
     if body_off > len(data) - 4:

@@ -4,8 +4,9 @@ Psi restricted to the suffix block of one symbol is increasing, so its
 runs of consecutive values (confined runs) never cross symbol boundaries
 and their count equals the number of BWT runs. The counting side is two
 flat per-run tables and the C table: starts, each run's first position
-plus an n + 1 sentinel, and img, Psi of each run's first position (its
-head), so a Psi step from i in run q is img[q-1] + i - starts[q-1]. Runs
+plus an n + 1 sentinel, with its bucket table, and img, Psi of each
+run's first position (its head), so a Psi step from i in run q is
+img[q-1] + i - starts[q-1], q found in i's bucket of starts. Runs
 lie in symbol order, so img is the per-symbol heads laid end to end, and
 a backward step by c searches c's stretch of it, whose bounds first_run
 gives. On disk the heads and the tails (head plus length minus one) are
@@ -25,7 +26,7 @@ import numpy as np
 
 from .rlbwt import BackwardSearch
 from .srcsa import SrCsa
-from .succinct import DEFAULT_BLOCK, SparseBitvector, uint_array
+from .succinct import DEFAULT_BLOCK, SparseBitvector, uint_array, view
 
 
 class PsiRuns(BackwardSearch):
@@ -40,7 +41,7 @@ class PsiRuns(BackwardSearch):
         self.r = len(i_psi)
         self.block = block            # B of the delta streams on disk
         starts = np.append(np.asarray(i_psi, dtype=np.int64), n + 1)
-        self.starts = uint_array(n + 1, starts)
+        self._runs(starts)
         # first_run[c] = 1-based global index of c's first run (r+1 if none);
         # runs never cross symbol blocks, so it counts runs starting <= C[c]
         self.first_run = (np.searchsorted(starts[:-1], C, side="right")
@@ -66,7 +67,7 @@ class PsiRuns(BackwardSearch):
     def i_psi_array(self):
         """Run starts without the sentinel, format v1's i_psi, as an
         array view of starts."""
-        return np.frombuffer(self.starts, dtype=self.starts.typecode)[:-1]
+        return view(self.starts)[:-1]
 
     i_psi = property(lambda self: self.i_psi_array.tolist())
 
@@ -78,13 +79,9 @@ class PsiRuns(BackwardSearch):
     @property
     def tails(self):
         """Per symbol, its runs' tails: what the psi_tails section holds."""
-        img, starts = (np.frombuffer(t, dtype=t.typecode).astype(np.int64)
+        img, starts = (view(t).astype(np.int64)
                        for t in (self.img, self.starts))
         return self._per_symbol((img + np.diff(starts) - 1).tolist())
-
-    def psi(self, i):
-        q = bisect_right(self.starts, i)
-        return self.img[q - 1] + i - self.starts[q - 1]
 
     def backward_step(self, sp, ep, c):
         """One backward step by c with the toehold SA[sp]: returns
@@ -116,6 +113,9 @@ class PsiRuns(BackwardSearch):
             if sp2 >= starts[k]:
                 sp2 = edge = starts[k]
         return (sp2, ep2, edge) if sp2 <= ep2 else None
+
+    # own name: the benchmark's tracer wraps methods in the class __dict__
+    psi = BackwardSearch.step
 
 
 class RCsa(SrCsa):
@@ -160,6 +160,5 @@ def build_rcsa(bundle, block=DEFAULT_BLOCK):
     marks = sa[np.append(i_psi[1:] - 1, runs.n) - 1]
     order = np.argsort(marks, kind="stable")
     slots = np.append(np.arange(2, runs.r + 1), 1)
-    return RCsa(runs, sa[i_psi - 1].tolist(),
-                SparseBitvector(marks[order].tolist(), runs.n),
-                slots[order].tolist())
+    return RCsa(runs, sa[i_psi - 1], SparseBitvector(marks[order], runs.n),
+                slots[order])

@@ -17,7 +17,7 @@ per-gap offsets, as SrIndex derives mark_map.
 import numpy as np
 
 from .srindex import SrIndex
-from .succinct import SparseBitvector
+from .succinct import SparseBitvector, view
 
 
 class RIndex(SrIndex):
@@ -52,11 +52,11 @@ def build_rindex(bundle, rl=None):
     if rl is None:
         rl = build_rlbwt(bundle)
     sa = bundle.sa
-    starts = np.array(rl.start.positions, dtype=np.int64)
-    ends = np.append(starts[1:] - 1, rl.n)
+    starts = view(rl.starts).astype(np.int64)
     # run p's first position is marked with SA there minus one, stored + 1
-    marks = sa[starts - 1]
+    marks = sa[starts[:-1] - 1]
     order = np.argsort(marks, kind="stable")
-    first = SparseBitvector(marks[order].tolist(), rl.n)
-    samples = (sa[ends - 1] - 1).tolist()
-    return RIndex(rl, first, (order + 1).tolist(), samples)
+    first = SparseBitvector(marks[order], rl.n)
+    # the sample is SA at run p's last position, minus one
+    samples = sa[starts[1:] - 2] - 1
+    return RIndex(rl, first, order + 1, samples)

@@ -1,31 +1,39 @@
 """Run-length BWT with backward-search counting.
 
-Only run-level structures are kept, as flat per-run tables: starts, the
-first bwt position of each run plus an n + 1 sentinel, so run q spans
-starts[q-1] .. starts[q] - 1 (runs 1-based, the tables 0-based); img,
+Only run-level structures are kept, as flat per-run tables in narrow
+arrays (succinct.uint_array), in two orders. In run order, for LF steps:
+starts, the first bwt position of each run plus an n + 1 sentinel, so
+run q spans starts[q-1] .. starts[q] - 1 (runs 1-based, the tables
+0-based), searched through its bucket table (succinct.buckets); and img,
 LF of each run's first position, so an LF step from j in run q is
-img[q-1] + j - starts[q-1]; each symbol's run starts (letter_starts) and
-cumulative run lengths (lex_cum); and the C table. The run heads'
-symbols and the sparse bitvector of run starts, format v1's `letters`
-and `start`, are not held: they are derived from img, C and starts on
-write. bwt positions, runs and symbols are all 1-based.
+img[q-1] + j - starts[q-1]. In (symbol, position) order, which is LF
+order, for backward steps, as the Psi side lays out its runs: lex_starts,
+the runs' first positions, and lex_img, their LF images with an n + 1
+sentinel, so a run's length is the next image minus its own; c's runs
+are the stretch first_run[c] - 1 .. first_run[c + 1] - 2. With the C
+table these are all the run-length BWT holds. The run heads' symbols and
+the sparse bitvector of run starts, format v1's `letters` and `start`,
+are derived from img, C and starts on write. bwt positions, runs and
+symbols are all 1-based.
 
-Counting occurrences of c in bwt[1..j] is one search: the last c-run
-starting at or before j holds the answer, its cumulative length capped at
-that run's end. A backward step is two such searches, sp's bounded by
-ep's result; an LF step is one search in starts.
+Counting occurrences of c in bwt[1..j] is one search in c's stretch of
+lex_starts: the last c-run starting at or before j, whose LF image plus
+j's offset in it, capped at the run's end, is C[c] plus the answer plus
+one. A backward step is two such searches, sp's bounded by ep's result;
+an LF step is one search in one bucket of starts.
 """
 
 from bisect import bisect_right
 
 import numpy as np
 
-from .succinct import SparseBitvector, uint_array
+from .succinct import SparseBitvector, buckets, uint_array, view
 
 
 class BackwardSearch:
-    """Backward search, shared by both run structures: a subclass provides
-    n, sigma and backward_step(sp, ep, c), one step that returns the new
+    """Backward search and the run-order tables, shared by both run
+    structures: a subclass provides n, sigma, img, its starts through
+    _runs, and backward_step(sp, ep, c), one step that returns the new
     range and where the toehold goes, from two searches. count drops the
     toehold; locate's toehold_search follows it."""
 
@@ -69,17 +77,29 @@ class BackwardSearch:
                 after += 1
         return sp, ep, j, after
 
+    def _runs(self, starts):
+        """Hold starts, the runs' first positions plus an n + 1 sentinel
+        (an int64 array), and its bucket table."""
+        self.starts = uint_array(self.n + 1, starts)
+        self.shift, self.bucket = buckets(self.starts, self.n)
+
+    def step(self, j):
+        """One LF step (BWT side) or Psi step (Psi side) from position j:
+        run q's image plus j's offset in it, run q found by one search
+        in j's bucket of starts."""
+        starts, bucket = self.starts, self.bucket
+        b = j >> self.shift
+        q = bisect_right(starts, j, bucket[b], bucket[b + 1])
+        return self.img[q - 1] + j - starts[q - 1]
+
 
 class RunLengthBWT(BackwardSearch):
     def __init__(self, n, sigma, start, letters):
         self.n = n
         self.sigma = sigma
         self.r = len(letters)
-        self.starts = start.positions + [n + 1]
-        # one pass over the list: its very ints, which each symbol's
-        # letter_starts shares, and their values
-        held = np.array(self.starts, dtype=object)
-        lengths = np.diff(held.astype(np.int64))
+        starts = np.append(view(start.positions), n + 1).astype(np.int64)
+        self._runs(starts)
         # runs in (symbol, position) order are the LF order of their
         # first positions: LF(run q's first position) is one plus the
         # length of all runs before q in that order; a stable sort of
@@ -87,72 +107,65 @@ class RunLengthBWT(BackwardSearch):
         # is a radix sort
         sym = np.asarray(letters, dtype=np.min_scalar_type(sigma))
         order = np.argsort(sym, kind="stable")
-        before = np.concatenate(([0], np.cumsum(lengths[order])))
+        lf = np.concatenate(([0], np.cumsum(np.diff(starts)[order]))) + 1
         img = np.empty(self.r, dtype=np.int64)
-        img[order] = before[:-1] + 1
+        img[order] = lf[:-1]
         self.img = uint_array(n, img)
-        # c's runs are order[cut[c]:cut[c+1]], so C[c], the number of
-        # symbols smaller than c, is before[cut[c]]
+        self.lex_starts = uint_array(n, starts[order])
+        self.lex_img = uint_array(n + 1, lf)
+        # c's runs are lex_starts[first_run[c] - 1:first_run[c + 1] - 1],
+        # so C[c], the number of symbols smaller than c, is
+        # lex_img[first_run[c] - 1] - 1
         cut = np.searchsorted(sym[order], np.arange(sigma + 2))
-        self.C = before[cut].tolist()
-        # per symbol, the bwt positions its runs start at (the very ints
-        # starts holds) and its cumulative run lengths, in bwt run order
-        firsts = held[order]
-        self.letter_starts = {}
-        self.lex_cum = {}
-        for c in range(1, sigma + 1):
-            lo, hi = cut[c], cut[c + 1]
-            if lo < hi:
-                self.letter_starts[c] = firsts[lo:hi].tolist()
-            self.lex_cum[c] = (before[lo:hi + 1] - before[lo]).tolist()
+        self.first_run = (cut + 1).tolist()
+        self.C = (lf[cut] - 1).tolist()
 
     @property
     def start(self):
         """Sparse bitvector of the run starts: format v1's section."""
-        return SparseBitvector(self.starts[:-1], self.n)
+        return SparseBitvector(view(self.starts)[:-1], self.n)
 
     @property
     def letters(self):
         """Run head symbols in run order, format v1's section: run q's is
         the c whose LF block C[c] + 1 .. C[c + 1] holds img[q-1]."""
-        img = np.frombuffer(self.img, dtype=self.img.typecode)
-        return (np.searchsorted(self.C, img) - 1).tolist()
-
-    def lf_step(self, j):
-        q = bisect_right(self.starts, j)
-        return self.img[q - 1] + j - self.starts[q - 1]
+        return (np.searchsorted(self.C, view(self.img)) - 1).tolist()
 
     def backward_step(self, sp, ep, c):
         """One backward step by c with the toehold SA[ep]: returns
         (sp', ep', edge), or None when c does not occur in bwt[sp..ep].
         sp' and ep' are C[c] plus the occurrences of c before sp, and up
-        to ep, plus one and plus zero. edge is 0 when the toehold just
-        drops by one (ep lies in a c-run), else the end of the c-run whose
-        sample it becomes. One search for ep serves both; sp's is bounded
-        by its result."""
-        starts = self.letter_starts.get(c)
-        if starts is None:
+        to ep, plus one and plus zero: in c's stretch of the flat tables,
+        the LF image of the last c-run starting at or before the position,
+        plus the position's offset in it, capped at the run's end. edge is
+        0 when the toehold just drops by one (ep lies in a c-run), else
+        the end of the c-run whose sample it becomes. One search for ep
+        serves both; sp's is bounded by its result."""
+        starts, lf = self.lex_starts, self.lex_img
+        lo = self.first_run[c] - 1
+        k = bisect_right(starts, ep, lo, self.first_run[c + 1] - 1)
+        if k == lo:
             return None
-        k = bisect_right(starts, ep)
-        if not k:
-            return None
-        cum, base = self.lex_cum[c], self.C[c] + 1
         # c's last run starting at or before ep: ep lies in it, or the
         # toehold becomes its end
-        edge = starts[k - 1] + cum[k] - cum[k - 1] - 1
+        first, end = lf[k - 1], lf[k]
+        edge = starts[k - 1] + end - first - 1
         if ep <= edge:
-            ep2, edge = base + cum[k - 1] + ep - starts[k - 1], 0
+            ep2, edge = first + ep - starts[k - 1], 0
         else:
-            ep2 = base + cum[k] - 1
-        k = bisect_right(starts, sp - 1, 0, k)
-        if k:
+            ep2 = end - 1
+        k = bisect_right(starts, sp - 1, lo, k)
+        if k == lo:
+            sp2 = lf[lo]
+        else:
             # sp - 1 in or past c's run k, capped at the run's end
-            sp2 = base + cum[k - 1] + sp - starts[k - 1]
-            if sp2 > base + cum[k]:
-                sp2 = base + cum[k]
-        else:
-            sp2 = base
+            sp2 = lf[k - 1] + sp - starts[k - 1]
+            if sp2 > lf[k]:
+                sp2 = lf[k]
         return (sp2, ep2, edge) if sp2 <= ep2 else None
+
+    # own name: the benchmark's tracer wraps methods in the class __dict__
+    lf_step = BackwardSearch.step
 
 
 def build_rlbwt(bundle):
@@ -160,5 +173,5 @@ def build_rlbwt(bundle):
     # run p starts at bwt position starts[p-1]: 1, then after every change
     starts = np.concatenate(([1], np.flatnonzero(bwt[1:] != bwt[:-1]) + 2))
     return RunLengthBWT(bundle.n, bundle.text.sigma,
-                        SparseBitvector(starts.tolist(), bundle.n),
+                        SparseBitvector(starts, bundle.n),
                         bwt[starts - 1])

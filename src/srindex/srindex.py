@@ -12,20 +12,25 @@ argument anywhere in the gap. Variants add validity data so phi can be
 reused directly when no removed mark blocks it: variant 1 knows per gap
 whether one does, variant 2 also how far from the mark the first one
 lies. Both are held as lim[g], the bound a reuse in gap g must start
-beyond (a shared sentinel when every or no value may), so a reused step
-costs the same one search. offs and lim are built when the index is
-built or loaded and replace the format's tables (mark_map, valid,
-valid_area), which are derived from them again on write.
+beyond (an integer sentinel past every SA value when every or no value
+may), so a reused step costs the same one search. offs and lim are
+int64 arrays, built when the index is built or loaded; they replace the
+format's tables (mark_map, valid, valid_area), which are derived from
+them again on write.
 
 Runs are read from flat per-run tables, a light form of the move tables
 of Nishimoto and Tabei (ICALP 2021): the run structure's starts (with an
 n + 1 sentinel) and img (LF or Psi of each run's first position), and
 the index's own slot[q], the samples_sub slot of run q's sample or 0
 when it was dropped. slot replaces the format's `removed` bitvector,
-which is derived from it on write. A position is resolved by a reused
-phi step, which searches only the marks, or by one search in starts:
-the run found gives its sample, or the walk step img[q-1] + j -
-starts[q-1] of the whole run piece. At depth s - 1, phi fills the rest.
+which is derived from it on write. All are narrow typed arrays. A
+position is resolved by a reused phi step, which searches only the
+marks, or by one search in starts: the run found gives its sample, or
+the walk step img[q-1] + j - starts[q-1] of the whole run piece. At
+depth s - 1, phi fills the rest. Both searches, like the toehold walk's
+and phi's, bisect only the searched value's bucket: the marks and starts
+each hold a bucket table, the high parts of their Elias-Fano code
+(succinct.buckets), so a search probes one or two values.
 
 The full indexes are the subsampled ones at s = 1, where the sweep drops
 nothing: RIndex (rindex.py) is an SrIndex and RCsa (rcsa.py) an SrCsa, so
@@ -46,9 +51,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .succinct import DenseBitvector, SparseBitvector, uint_array
+from .succinct import DenseBitvector, SparseBitvector, uint_array, view
 
-INF = float("inf")
+# lim's sentinels: beyond every SA value, and every bound a gap can hold,
+# as the loader keeps n below 2**62
+LIM_END = (1 << 63) - 1
 
 
 class QueryCounters:
@@ -91,7 +98,10 @@ class Subsampled:
     lies in mark gap bisect_right(marks, v + PROBE), and phi gives
     v + offs[gap]; lim[gap] is SAFE when a reuse there is always safe,
     NEVER when it never is (variant 1), else the bound v must lie beyond
-    in direction DIR: reuse is safe when (lim[gap] - v) * DIR < 0.
+    in direction DIR: reuse is safe when (lim[gap] - v) * DIR < 0. Both
+    sentinels are ints past every SA value, on the side that makes that
+    test always or never hold. Every search of the marks or of the run
+    starts looks in the searched value's bucket only (succinct.buckets).
     _direction() gives the run structure and the toehold of the full
     range. A run's sample sits at its end on the BWT side and at its
     start on the Psi side.
@@ -121,8 +131,7 @@ class Subsampled:
     def removed(self):
         """Per run, 1 when its sample was dropped: format v1's bitvector,
         derived from slot."""
-        return DenseBitvector(
-            np.frombuffer(self.slot, dtype=self.slot.typecode)[1:] == 0)
+        return DenseBitvector(view(self.slot)[1:] == 0)
 
     def _tables(self, mark_map, valid, valid_area):
         """offs and lim (None at variant 0) from the format's tables: the
@@ -131,30 +140,28 @@ class Subsampled:
         invalid one. One entry per mark, plus the gap that wraps around
         the text: first on the BWT side, last on the Psi side."""
         d, n, variant = self.DIR, self.n, self.variant
-        marks = np.array(self.marks.positions, dtype=np.int64)
+        marks = view(self.marks.positions).astype(np.int64)
         if not marks.size:
             raise ValueError("an index needs at least one mark")
-        samples = np.frombuffer(self.samples_sub,
-                                dtype=self.samples_sub.typecode)
-        offs = (samples[np.asarray(mark_map, dtype=np.int64) - 1]
-                .astype(np.int64) + self.SHIFT - marks)
-        lim = None
-        if variant:
-            # SAFE where valid's bit is set; elsewhere NEVER, or at
-            # variant 2 the mark moved by its area against DIR
-            lim = np.full(marks.size, self.SAFE, dtype=object)
-            gone = valid.bits() == 0
-            lim[gone] = self.NEVER if variant == 1 else (
-                marks[gone] - d * np.asarray(valid_area, dtype=np.int64)
-            ).tolist()
+        offs = (view(self.samples_sub)[np.asarray(mark_map, dtype=np.int64)
+                                       - 1].astype(np.int64)
+                + self.SHIFT - marks)
         # the wrap gap is the gap of the last mark (BWT) or the first
         # (Psi), with that mark moved by d * n across the text's end
         src, at = (-1, 0) if d < 0 else (0, marks.size)
         offs = np.insert(offs, at, offs[src] - d * n)
-        if lim is not None:
+        lim = None
+        if variant:
+            # SAFE where valid's bit is set; elsewhere NEVER, or at
+            # variant 2 the mark moved by its area against DIR
+            lim = np.full(marks.size, self.SAFE, dtype=np.int64)
+            gone = valid.bits() == 0
+            lim[gone] = self.NEVER if variant == 1 else (
+                marks[gone] - d * np.asarray(valid_area, dtype=np.int64))
             x = lim[src]
-            lim = np.insert(lim, at, x if x in (self.SAFE, self.NEVER)
-                            else x + d * n).tolist()
+            lim = array("q", np.insert(
+                lim, at, x if x in (self.SAFE, self.NEVER) else x + d * n
+            ).tobytes())
         return array("q", offs.tobytes()), lim
 
     def _per_mark(self, table):
@@ -168,11 +175,9 @@ class Subsampled:
         distinct). Each mark's sample is searched for among the sorted
         samples, the searched values in sorted order too, which is what
         makes searchsorted fast."""
-        samples = np.frombuffer(self.samples_sub,
-                                dtype=self.samples_sub.typecode)
-        want = (self._per_mark(np.frombuffer(self.offs, dtype=np.int64))
-                + np.array(self.marks.positions, dtype=np.int64)
-                - self.SHIFT)
+        samples = view(self.samples_sub)
+        want = (self._per_mark(view(self.offs)) - self.SHIFT
+                + view(self.marks.positions).astype(np.int64))
         order = np.argsort(samples)
         by_want = np.argsort(want)
         slots = np.empty(want.size, dtype=np.int64)
@@ -196,13 +201,12 @@ class Subsampled:
         if self.variant == 2:
             lim = self._lim_per_mark()
             bad = lim != self.SAFE
-            marks = np.array(self.marks.positions, dtype=np.int64)
-            return ((marks[bad] - lim[bad].astype(np.int64))
-                    * self.DIR).tolist()
+            marks = view(self.marks.positions).astype(np.int64)
+            return ((marks[bad] - lim[bad]) * self.DIR).tolist()
 
     def _lim_per_mark(self):
-        """lim without the wrap gap, as an array of its Python objects."""
-        return np.array(self._per_mark(self.lim), dtype=object)
+        """lim without the wrap gap, as an int64 array view."""
+        return self._per_mark(view(self.lim))
 
     @classmethod
     def _parts(cls, full, marks, s, variant):
@@ -256,10 +260,12 @@ class Subsampled:
             # is removed, walk on to the next kept one: at most s - 1
             # steps, one search each
             starts, img, slot = runs.starts, runs.img, self.slot
+            bucket, bits = runs.bucket, runs.shift
             a = (1 - self.DIR) // 2
             k = 0
             while True:
-                q = bisect_right(starts, j)
+                b = j >> bits
+                q = bisect_right(starts, j, bucket[b], bucket[b + 1])
                 t = slot[q]
                 if t and j == starts[q - 1 + a] - a:
                     break
@@ -273,9 +279,15 @@ class Subsampled:
     def phi(self, i, check=False):
         """phi of i = SA[j] - SHIFT: SA[j - 1] on the BWT side, SA[j + 1]
         on the Psi side. With check, None unless lim shows that no removed
-        mark lies between i and the mark phi reads."""
-        v = i + self.SHIFT
-        g = bisect_right(self.marks.positions, v + self.PROBE)
+        mark lies between i and the mark phi reads. i may be a numpy int;
+        the answer is a Python int, as lim's sentinels fit no narrower
+        type."""
+        v = int(i) + self.SHIFT
+        x = v + self.PROBE
+        marks = self.marks
+        b = x >> marks.shift
+        g = bisect_right(marks.positions, x, marks.bucket[b],
+                         marks.bucket[b + 1])
         lim = self.lim
         if check and (lim is None or (lim[g] - v) * self.DIR >= 0):
             return None
@@ -293,6 +305,10 @@ class Subsampled:
         samples, marks = self.samples_sub, self.marks.positions
         offs, lim = self.offs, self.lim
         d, shift, probe, s = self.DIR, self.SHIFT, self.PROBE, self.s
+        # the bucket tables: a search for x in starts (marks) looks only
+        # between rb[x >> rbits] and rb[(x >> rbits) + 1] (mb, mbits)
+        rb, rbits = runs.bucket, runs.shift
+        mb, mbits = self.marks.bucket, self.marks.shift
         # run q spans starts[q-1] .. starts[q] - 1; its sampled edge is
         # starts[q - 1 + a] - a (its end on the BWT side, its start on
         # the Psi side), and its other edge starts[q - a] + a - 1
@@ -309,33 +325,43 @@ class Subsampled:
             deeper = k + 1 < s
             reuse = lim if deeper else None
             while (stop - j) * d >= 0:
-                if reuse and (reuse[g := bisect_right(marks, v + probe)]
-                              - v) * d < 0:
-                    v += offs[g]          # a reused phi step
-                else:
-                    q = bisect_right(starts, j)
-                    t = slot[q]
-                    if t and j == starts[q - 1 + a] - a:
-                        v = samples[t - 1] + shift - d * k
-                    else:
-                        # j up to the far edge of run q is one run piece:
-                        # it steps to a contiguous range one level deeper
-                        edge = starts[q - a] + a - 1
-                        if (stop - edge) * d < 0:
-                            edge = stop
-                        if deeper:
-                            step = img[q - 1] - starts[q - 1]
-                            stack.append((edge + d, stop, k))
-                            stack.append((j + step, edge + step, k + 1))
-                            break
-                        # at depth s - 1, phi alone fills the piece
-                        for _ in range((edge - j) * d + 1):
-                            v += offs[bisect_right(marks, v + probe)]
-                            if counters is not None:
-                                counters.record(k)
-                            out.append(v)
-                        j = edge + d
+                if reuse is not None:
+                    x = v + probe
+                    b = x >> mbits
+                    g = bisect_right(marks, x, mb[b], mb[b + 1])
+                    if (reuse[g] - v) * d < 0:
+                        v += offs[g]          # a reused phi step
+                        if counters is not None:
+                            counters.record(k)
+                        out.append(v)
+                        j += d
                         continue
+                b = j >> rbits
+                q = bisect_right(starts, j, rb[b], rb[b + 1])
+                t = slot[q]
+                if t and j == starts[q - 1 + a] - a:
+                    v = samples[t - 1] + shift - d * k
+                else:
+                    # j up to the far edge of run q is one run piece: it
+                    # steps to a contiguous range one level deeper
+                    edge = starts[q - a] + a - 1
+                    if (stop - edge) * d < 0:
+                        edge = stop
+                    if deeper:
+                        step = img[q - 1] - starts[q - 1]
+                        stack.append((edge + d, stop, k))
+                        stack.append((j + step, edge + step, k + 1))
+                        break
+                    # at depth s - 1, phi alone fills the piece
+                    for _ in range((edge - j) * d + 1):
+                        x = v + probe
+                        b = x >> mbits
+                        v += offs[bisect_right(marks, x, mb[b], mb[b + 1])]
+                        if counters is not None:
+                            counters.record(k)
+                        out.append(v)
+                    j = edge + d
+                    continue
                 if counters is not None:
                     counters.record(k)
                 out.append(v)
@@ -370,7 +396,7 @@ class SrIndex(Subsampled):
     DIR = -1      # LF: SA[LF(j)] = SA[j] - 1
     SHIFT = 1     # samples are SA[run end] - 1; phi takes SA - 1
     PROBE = 0     # marks are stored + 1: SA[j]'s gap follows the last <= it
-    SAFE, NEVER = INF, -INF
+    SAFE, NEVER = LIM_END, -LIM_END
 
     def __init__(self, rl, s, variant, sa_last, removed, samples_sub, marks,
                  mark_map, valid=None, valid_area=None):

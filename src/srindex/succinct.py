@@ -1,6 +1,7 @@
 """Succinct building blocks: bitvectors with rank, a sparse bitvector
-(Elias-Fano coded on disk), the Elias-delta code, and the narrow integer
-arrays the indexes hold their per-run tables in.
+(Elias-Fano coded on disk), the Elias-delta code, the narrow integer
+arrays the indexes hold their per-run tables in, and the bucket tables
+that narrow a predecessor search in one of them.
 
 No index holds a DenseBitvector: it is the DENSE codec's value, which the
 loader decodes and the index turns into its own tables (the subsampled
@@ -24,9 +25,46 @@ DEFAULT_BLOCK = 64  # values per block of an Elias-delta stream on disk
 def uint_array(bound, values):
     """values, integers in 0..bound (a sequence or a numpy array), as an
     array of the narrowest unsigned item type that holds bound: 1 to 8
-    bytes an item, where a list of ints costs about 36."""
+    bytes an item, where a list of ints costs about 36. Raises ValueError
+    for a value outside 0..bound."""
     code = next(c for c in "BHIQ" if bound >> 8 * array(c).itemsize == 0)
-    return array(code, np.asarray(values, dtype=code).tobytes())
+    vals = np.asarray(values)
+    if vals.dtype.kind not in "biu":
+        # ints past int64 (which numpy takes as floats), or no values
+        vals = np.asarray(values, dtype=object)
+    if vals.size and not 0 <= vals.min() <= vals.max() <= bound:
+        raise ValueError(f"values outside 0..{bound}")
+    return array(code, vals.astype(code).tobytes())
+
+
+def view(table):
+    """A typed array as a read-only numpy array of its items, no copy."""
+    return np.frombuffer(table, dtype=table.typecode)
+
+
+def low_bits(n, m):
+    """Elias-Fano's low part width for m values within 1..n: the bits of
+    n // m below its top one (0 when there are no values)."""
+    return max(0, (n // m).bit_length() - 1) if m else 0
+
+
+def buckets(values, n):
+    """The bucket table of a sorted typed array of values within
+    0..n + 1: (shift, table), where table[b] is the index of the first
+    value v with v >> shift >= b, for b = 0..((n + 1) >> shift) + 1.
+
+    So bisect_right(values, x) for any x in 0..n + 1 is bisect_right(
+    values, x, table[b], table[b + 1]) with b = x >> shift, a search
+    among the values of x's bucket only. shift is Elias-Fano's low_bits
+    for these values (at least one) over n, so v >> shift is v's high
+    part in that code, the table has fewer than 2 * max(len(values), 1)
+    + 4 entries, and a bucket holds about one value."""
+    shift = low_bits(n, max(len(values), 1))
+    high = view(values).astype(np.uint64) >> np.uint64(shift)
+    counts = np.bincount(high.astype(np.intp),
+                         minlength=((n + 1) >> shift) + 1)
+    return shift, uint_array(len(values),
+                             np.concatenate(([0], np.cumsum(counts))))
 
 
 class DenseBitvector:
@@ -93,21 +131,30 @@ class DenseBitvector:
 
 class SparseBitvector:
     """Bitvector for few ones over a large universe, held as the sorted
-    positions of its ones; rank bisects them. On disk it is
-    Elias-Fano coded (the SPARSE codec in envelope.py)."""
+    positions of its ones in a narrow array, and their bucket table;
+    rank bisects the positions in one bucket. On disk it is Elias-Fano
+    coded (the SPARSE codec in envelope.py), whose high parts the buckets
+    are."""
 
     def __init__(self, positions, length):
         # positions: sorted distinct 1-based positions of set bits
         self.n = length
-        self.positions = list(positions)
+        self.positions = uint_array(length, positions)
         self.ones = len(self.positions)
+        self.shift, self.bucket = buckets(self.positions, length)
 
     def get(self, i):
         k = bisect_left(self.positions, i)
         return 1 if k < self.ones and self.positions[k] == i else 0
 
     def rank1(self, i):
-        return bisect_right(self.positions, i)
+        if i < 1:
+            return 0
+        if i > self.n:
+            return self.ones
+        b = i >> self.shift
+        return bisect_right(self.positions, i, self.bucket[b],
+                            self.bucket[b + 1])
 
     def successor1(self, i):
         k = self.rank1(i - 1)

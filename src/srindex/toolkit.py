@@ -17,6 +17,7 @@ from .rlbwt import BackwardSearch, build_rlbwt
 from .srcsa import build_srcsa, subsample_rcsa
 from .srindex import (QueryCounters, build_srindex, subsample,
                       subsample_rindex)
+from .succinct import view
 from .textcore import (build_bundle, ingest, oracle_search, pattern_symbols,
                        symbol_codes)
 
@@ -146,9 +147,9 @@ def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
         kept_list, _ = subsample(values, s)
         kept[s] = len(kept_list)
     # histogram of run-start text positions (the marks)
-    hist = [0] * bins
-    for p in rindex.first.positions:
-        hist[min(bins - 1, (p - 1) * bins // rl.n)] += 1
+    marks = view(rindex.first.positions).astype(np.int64)
+    hist = np.bincount(np.minimum((marks - 1) * bins // rl.n, bins - 1),
+                       minlength=bins).tolist()
     return {
         "n": rl.n,
         "sigma": rl.sigma,
@@ -163,7 +164,8 @@ def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
 def index_stats(data):
     """Envelope bytes -> size breakdown in bits per symbol, the seconds
     each section takes to decode and to encode again, and the bytes each
-    table of the loaded index takes in memory."""
+    table of the loaded index takes in memory, with their total, also per
+    BWT run."""
     params = envelope.read_params(data)
     sizes = envelope.section_sizes(data)
     n = params["n"]
@@ -171,6 +173,8 @@ def index_stats(data):
     decode_s, encode_s = {}, {}
     ix, _, alphabet = envelope.deserialize(data, decode_s)
     envelope.serialize(ix, alphabet, encode_s)
+    memory = memory_bytes(ix)
+    total = sum(memory.values())
     return {
         **params,
         "bits_per_symbol": 8 * len(data) / n,
@@ -179,7 +183,9 @@ def index_stats(data):
         "section_bps": per_section,
         "section_decode_s": decode_s,
         "section_encode_s": encode_s,
-        "memory_bytes": memory_bytes(ix),
+        "memory_bytes": memory,
+        "memory_bytes_total": total,
+        "memory_bytes_per_run": total / params["r"],
     }
 
 

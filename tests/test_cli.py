@@ -118,11 +118,16 @@ class TestStats:
         run(["build", str(corpus), "-o", str(idx), "--kind", "sr-index",
              "--s", "4", "--variant", str(variant)], capsys)
         rc, out, _ = run(["stats", str(idx)], capsys)
-        mem = json.loads(out)["memory_bytes"]
+        st = json.loads(out)
+        mem = st["memory_bytes"]
         assert rc == 0 and all(type(b) is int for b in mem.values())
         for table in ("offs", "marks", "samples_sub", "slot", "rl.starts",
-                      "rl.img", "rl.letter_starts", "rl.lex_cum"):
+                      "rl.bucket", "rl.img", "rl.lex_starts", "rl.lex_img"):
             assert mem[table] > 0, table
+        # the total next to the tables, and per BWT run
+        assert st["memory_bytes_total"] == sum(mem.values())
+        assert st["memory_bytes_per_run"] == pytest.approx(
+            st["memory_bytes_total"] / st["r"])
         assert not {"mark_map", "valid", "valid_area", "removed",
                     "rl.start", "rl.letters"} & set(mem)
         # 8 bytes or more per mark gap; lim is None at variant 0

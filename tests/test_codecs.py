@@ -143,7 +143,7 @@ def delta_payloads(rng):
 def sparse_parts(blob):
     """_sparse_from(blob) as ref_sparse_from returns it."""
     bv = _sparse_from(blob)
-    return bv.positions, bv.n
+    return list(bv.positions), bv.n
 
 
 def outcome(decode, blob):
@@ -277,7 +277,7 @@ class TestEdges:
         for positions in ([], list(range(1, n + 1))):
             blob = _sparse_bytes(SparseBitvector(positions, n))
             bv = _sparse_from(blob)
-            assert (bv.positions, bv.n) == (positions, n)
+            assert (list(bv.positions), bv.n) == (positions, n)
             assert _sparse_bytes(bv) == blob
 
     def test_one_past_high_n_rejected(self):

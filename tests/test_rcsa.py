@@ -30,7 +30,7 @@ class TestCanonical:
 
     def test_marks(self):
         _, _, rc = make(T1)
-        assert rc.marks_l.positions == [1, 2, 3, 6, 7]
+        assert list(rc.marks_l.positions) == [1, 2, 3, 6, 7]
         assert rc.mark_map == [5, 1, 4, 3, 2]
 
     def test_iphi_values(self):

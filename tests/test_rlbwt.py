@@ -18,10 +18,16 @@ class TestCanonical:
     def test_run_structure(self):
         _, b, rl = make(T1)
         assert rl.r == 5
-        assert rl.start.positions == [1, 2, 4, 5, 6]
+        assert list(rl.start.positions) == [1, 2, 4, 5, 6]
         assert rl.letters == [2, 3, 2, 1, 2]   # a b a $ a
         # run q spans starts[q-1] .. starts[q] - 1
-        assert rl.starts == [1, 2, 4, 5, 6, 8]
+        assert list(rl.starts) == [1, 2, 4, 5, 6, 8]
+        # in (symbol, position) order, $'s run, a's three, b's one: their
+        # first positions, their LF images with the n + 1 sentinel, and
+        # where each symbol's stretch starts (1-based)
+        assert list(rl.lex_starts) == [5, 1, 4, 6, 2]
+        assert list(rl.lex_img) == [1, 2, 3, 4, 6, 8]
+        assert rl.first_run == [1, 1, 2, 5, 6]
         # C for $=1, a=2, b=3
         assert rl.C[1:5] == [0, 1, 5, 7]
 

@@ -217,8 +217,8 @@ def test_reused_step_costs_one_mark_rank(kind, phi, marks, variant,
     events = []
     search = srindex.bisect_right
 
-    def logged_search(seq, x):
-        g = search(seq, x)
+    def logged_search(seq, x, *bounds):
+        g = search(seq, x, *bounds)
         if seq is positions:
             events.append(("search", g))
         return g
@@ -272,8 +272,8 @@ def test_resolved_position_costs_one_run_search(kind, s, variant,
     events = []
     search = srindex.bisect_right
 
-    def logged_search(seq, x):
-        q = search(seq, x)
+    def logged_search(seq, x, *bounds):
+        q = search(seq, x, *bounds)
         if seq is starts:
             events.append(("run", q))
         return q
@@ -325,8 +325,8 @@ def test_depth_s_minus_1_costs_no_reuse_question(kind, monkeypatch):
         log = []
         monkeypatch.setattr(
             srindex, "bisect_right",
-            lambda seq, x: log.append((tables[id(seq)], x))
-            or search(seq, x))
+            lambda seq, x, *bounds: log.append((tables[id(seq)], x))
+            or search(seq, x, *bounds))
         for i in range(0, len(data) - 8, 61):
             pat = data[i:i + 8]
             assert sorted(bi.locate(pat)) == naive_occurrences(data, pat)

@@ -1,8 +1,10 @@
 import random
 import struct
 from array import array
+from bisect import bisect_right
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
@@ -78,9 +80,15 @@ class TestSparseBitvector:
                           n))
         for pos, n in cases:
             bv = _sparse_from(_sparse_bytes(SparseBitvector(pos, n)))
-            assert bv.positions == pos and bv.n == n
-            # in memory the bitvector is its positions and nothing else
-            assert set(vars(bv)) == {"n", "ones", "positions"}
+            assert list(bv.positions) == pos and bv.n == n
+            # in memory the bitvector is its positions, in a narrow array,
+            # and their bucket table, the code's high parts
+            assert set(vars(bv)) == {"n", "ones", "positions", "shift",
+                                     "bucket"}
+            # the narrowest item type that holds n
+            size = bv.positions.itemsize
+            assert isinstance(bv.positions, array)
+            assert n < 1 << 8 * size and (size == 1 or n >= 1 << 4 * size)
 
     def test_space_shape(self):
         # the low array width tracks log(n/x); the unary high part holds
@@ -107,6 +115,94 @@ class TestSparseBitvector:
                 + high.to_bytes(8, "little"))
         with pytest.raises(FormatError):
             _sparse_from(blob)
+
+
+class TestUintArray:
+    def test_list_outside_bound_rejected(self):
+        # a list used to raise OverflowError, which the loader does not
+        # report as a FormatError
+        for values in ([300, 1], [1, -1], [2**64], [2**64 - 1, -1]):
+            with pytest.raises(ValueError, match="outside 0..255"):
+                succinct.uint_array(255, values)
+        # within the type but past the bound
+        with pytest.raises(ValueError, match="outside 0..100"):
+            succinct.uint_array(100, [101])
+
+    def test_numpy_outside_bound_rejected(self):
+        # numpy input used to wrap silently: [300, -1] came back as
+        # array('B', [44, 255])
+        for values in (np.array([300, -1]), np.array([300], dtype=np.uint64),
+                       np.array([-1], dtype=np.int8)):
+            with pytest.raises(ValueError, match="outside 0..255"):
+                succinct.uint_array(255, values)
+
+    def test_narrowest_type(self):
+        for bound, code in ((0, "B"), (255, "B"), (256, "H"), (2**16, "I"),
+                            (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q")):
+            got = succinct.uint_array(bound, np.array([0, bound],
+                                                      dtype=np.uint64))
+            assert got.typecode == code and list(got) == [0, bound]
+        assert list(succinct.uint_array(9, [])) == []
+
+
+def bucketed_rank(values, shift, bucket, x):
+    """The search every query makes: bisect_right(values, x) among the
+    values of x's bucket."""
+    b = x >> shift
+    return bisect_right(values, x, bucket[b], bucket[b + 1])
+
+
+def check_buckets(values, n):
+    """A bucket table of values within 0..n + 1 answers like
+    bisect_right for every x in 0..n + 1, and costs O(len(values))."""
+    shift, bucket = succinct.buckets(values, n)
+    assert shift == succinct.low_bits(n, max(len(values), 1))
+    assert len(bucket) < 2 * max(len(values), 1) + 4
+    for x in range(n + 2):
+        assert bucketed_rank(values, shift, bucket, x) == \
+            bisect_right(values, x), (list(values), n, x)
+
+
+class TestBuckets:
+    def test_against_bisect(self):
+        rng = random.Random(91)
+        for _ in range(300):
+            n = rng.randrange(1, 600)
+            m = rng.randrange(0, n + 1)
+            if rng.random() < 0.3:
+                # clustered, so most buckets are empty
+                lo = rng.randrange(1, n + 1)
+                pool = range(lo, min(n, lo + m + 3) + 1)
+            else:
+                pool = range(1, n + 1)
+            vals = sorted(rng.sample(pool, min(m, len(pool))))
+            check_buckets(succinct.uint_array(n + 1, vals), n)
+            # the run tables' form: an n + 1 sentinel after the values
+            check_buckets(succinct.uint_array(n + 1, vals + [n + 1]), n)
+
+    def test_edges(self):
+        for n in (1, 2, 3, 63, 64, 65, 1000):
+            for vals in ([], [1], [n], [1, n], list(range(1, n + 1)),
+                         [n // 2 or 1]):
+                check_buckets(succinct.uint_array(n + 1, sorted(set(vals))),
+                              n)
+
+    def test_sparse_rank(self):
+        # rank1 searches one bucket, and clamps outside 1..n
+        rng = random.Random(92)
+        for _ in range(100):
+            n = rng.randrange(1, 400)
+            pos = sorted(rng.sample(range(1, n + 1), rng.randrange(0, n + 1)))
+            bv = SparseBitvector(pos, n)
+            for x in range(-2, n + 4):
+                assert bv.rank1(x) == bisect_right(pos, x)
+
+    def test_huge_universe(self):
+        # few values over a 64-bit universe: a few buckets, not 2**64
+        bv = SparseBitvector([3, 2**40, 2**64 - 2], 2**64 - 1)
+        assert len(bv.bucket) < 10
+        for x in (0, 3, 4, 2**40 - 1, 2**40, 2**64 - 2, 2**64 - 1):
+            assert bv.rank1(x) == bisect_right(bv.positions, x)
 
 
 class TestSymbolSequence:

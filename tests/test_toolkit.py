@@ -3,6 +3,8 @@ import signal
 import struct
 import tracemalloc
 import zlib
+from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 
 import numpy as np
@@ -450,9 +452,9 @@ class TestEnvelope:
         blob = toolkit.build_index(b"abracadabra" * 5, kind, s=s,
                                    block=4).serialize()
         bv = envelope._sparse_from(envelope._open(blob)[2][section])
-        bv.positions[-1] += 1000
-        bv.n += 1000
-        bad = reseal(blob, section, envelope._sparse_bytes(bv))
+        raised = SparseBitvector(
+            list(bv.positions[:-1]) + [bv.positions[-1] + 1000], bv.n + 1000)
+        bad = reseal(blob, section, envelope._sparse_bytes(raised))
         with pytest.raises(envelope.FormatError,
                            match=f"{section} does not match header"):
             toolkit.load_index(bad)
@@ -654,9 +656,10 @@ class TestEnvelope:
 
     def test_text_too_long_rejected(self):
         # a run table that fits its header, for a text too long for the
-        # run tables' int64 arithmetic: rejected, not an OverflowError
+        # run tables' int64 arithmetic, which reaches 2n: rejected, not an
+        # OverflowError
         blob = toolkit.build_index(b"abracadabra", "rlbwt").serialize()
-        for n in ((1 << 63) - 1, (1 << 64) - 1):
+        for n in (1 << 62, (1 << 63) - 1, (1 << 64) - 1):
             bad = edit_section("start", SPARSE, lambda bv, h: SparseBitvector(
                 bv.positions, n))(blob)
             bad = resealed(bad[:12] + struct.pack("<Q", n) + bad[20:])
@@ -728,6 +731,56 @@ class TestOneCopy:
             assert state() == before
             assert toolkit.load_index(bi.serialize()).serialize() == blob
 
+    @pytest.mark.parametrize("kind", toolkit.KINDS)
+    def test_no_long_lists(self, kind):
+        # every r-sized table a query reads is a narrow typed array: built
+        # or loaded, no index, run structure or bitvector holds a dict, or
+        # a list longer than the C table and first_run (sigma + 2)
+        data = toolkit.gen_corpus(2_000, 4, 0.01, seed=6)
+        sub = kind.startswith("sr-")
+        built = toolkit.build_index(data, kind, s=4 if sub else None,
+                                    variant=2 if sub else 0, block=4)
+        blob = built.serialize()
+        sigma = envelope.read_params(blob)["sigma"]
+        for bi in (built, toolkit.load_index(blob)):
+            todo, tables = [bi.ix], 0
+            while todo:
+                for name, value in vars(todo.pop()).items():
+                    assert not isinstance(value, dict), name
+                    if isinstance(value, list):
+                        assert len(value) <= sigma + 2, name
+                    elif isinstance(value, array):
+                        tables += 1
+                    elif hasattr(value, "__dict__"):
+                        todo.append(value)
+            # starts, its buckets, img (and the BWT side's lex_starts and
+            # lex_img), and the locating kinds' samples, slots, marks,
+            # their buckets and offs
+            assert tables >= (5 if kind == "rlbwt" else 8), tables
+
+    @pytest.mark.parametrize("kind", ["sr-index", "sr-csa"])
+    def test_bucketed_searches_match_bisect(self, kind):
+        # the held bucket tables of the run starts and of the marks answer
+        # every x in 0..n + 1 as bisect_right does, with s up to n, where
+        # few marks are left and most buckets are empty
+        data = toolkit.gen_corpus(600, 3, 0.02, seed=8)
+        n = len(data) + 1
+        for s in (1, 4, n // 2, n):
+            bi = toolkit.load_index(toolkit.build_index(
+                data, kind, s=s, variant=2, block=4).serialize())
+            runs = bi.ix._direction()[0]
+            for held in (runs, bi.ix.marks):
+                values = held.starts if held is runs else held.positions
+                for x in range(n + 2):
+                    b = x >> held.shift
+                    assert bisect_right(values, x, held.bucket[b],
+                                        held.bucket[b + 1]) == \
+                        bisect_right(values, x), (s, x)
+            for i in range(0, len(data) - 6, 37):
+                pat = data[i:i + 6]
+                assert bi.locate(pat, sort=True) == \
+                    naive_occurrences(data, pat)
+
 
 class TestCorpus:
     def test_deterministic(self):
@@ -755,6 +808,13 @@ class TestStats:
         assert st["kept_samples"][8] <= st["kept_samples"][4]
         assert sum(st["mark_histogram"]) == st["r"]
         assert len(st["mark_histogram"]) == 10
+        # the histogram of the marks, as a loop over them counts it
+        marks = toolkit.build_rindex(
+            toolkit.build_bundle(ingest(data))).first.positions
+        hist = [0] * 10
+        for p in marks:
+            hist[min(9, (p - 1) * 10 // st["n"])] += 1
+        assert st["mark_histogram"] == hist
 
     def test_index_stats_fields(self):
         blob = toolkit.build_index(b"abracadabra" * 40, "r-csa",
