@@ -1,26 +1,26 @@
-"""Run-length BWT with backward-search counting.
+"""Run-length BWT with backward-search counting, and the run table pair
+that the Psi side (rcsa.py) reads too.
 
 Only run-level structures are kept, as flat per-run tables in narrow
-arrays (succinct.uint_array), in two orders. In run order, for LF steps:
-starts, the first bwt position of each run plus an n + 1 sentinel, so
-run q spans starts[q-1] .. starts[q] - 1 (runs 1-based, the tables
-0-based), searched through its bucket table (succinct.buckets); and img,
-LF of each run's first position, so an LF step from j in run q is
-img[q-1] + j - starts[q-1]. In (symbol, position) order, which is LF
-order, for backward steps, as the Psi side lays out its runs: lex_starts,
-the runs' first positions, and lex_img, their LF images with an n + 1
-sentinel, so a run's length is the next image minus its own; c's runs
-are the stretch first_run[c] - 1 .. first_run[c + 1] - 2. With the C
-table these are all the run-length BWT holds. The run heads' symbols and
-the sparse bitvector of run starts, format v1's `letters` and `start`,
-are derived from img, C and starts on write. bwt positions, runs and
-symbols are all 1-based.
+arrays (succinct.uint_array). The runs in (symbol, position) order, which
+is LF order, are one pair: lex_starts, their first bwt positions, and
+lex_img, their LF images with an n + 1 sentinel, so a run's length is the
+next image minus its own; c's runs are the stretch first_run[c] - 1 ..
+first_run[c + 1] - 2. Psi inverts LF, which maps a BWT run of c onto
+consecutive positions of c's block, so the Psi runs are these runs read
+the other way: a Psi run starts at lex_img[q-1], and its head, Psi
+there, is lex_starts[q-1] (Makinen et al., JCB 2010). Both sides count
+with one backward_step on the pair: two searches of c's stretch of
+lex_starts, sp's bounded by ep's result.
 
-Counting occurrences of c in bwt[1..j] is one search in c's stretch of
-lex_starts: the last c-run starting at or before j, whose LF image plus
-j's offset in it, capped at the run's end, is C[c] plus the answer plus
-one. A backward step is two such searches, sp's bounded by ep's result;
-an LF step is one search in one bucket of starts.
+The run-length BWT adds the run-order tables that LF steps read: starts,
+the first bwt position of each run plus an n + 1 sentinel, so run q spans
+starts[q-1] .. starts[q] - 1 (runs 1-based, the tables 0-based), searched
+in one bucket of its bucket table (succinct.buckets); and img, LF of each
+run's first position, so an LF step from j in run q is img[q-1] + j -
+starts[q-1]. The run heads' symbols and the sparse bitvector of run
+starts, format v1's `letters` and `start`, are derived from img, C and
+starts on write. bwt positions, runs and symbols are all 1-based.
 """
 
 from bisect import bisect_right
@@ -31,11 +31,37 @@ from .succinct import SparseBitvector, buckets, uint_array, view
 
 
 class BackwardSearch:
-    """Backward search and the run-order tables, shared by both run
-    structures: a subclass provides n, sigma, img, its starts through
-    _runs, and backward_step(sp, ep, c), one step that returns the new
-    range and where the toehold goes, from two searches. count drops the
-    toehold; locate's toehold_search follows it."""
+    """Backward search on the run table pair, shared by both run
+    structures: a subclass provides n and sigma, holds the pair through
+    _pair and its walk tables through _runs, and says in TOEHOLD_AT_EP
+    which end of the range carries the toehold. backward_step(sp, ep, c)
+    is one step that returns the new range and where the toehold goes,
+    from two searches. count drops the toehold; locate's toehold_search
+    follows it."""
+
+    def _pair(self, lex_starts, lex_img, C):
+        """Hold the runs in (symbol, position) order, lex_starts and
+        lex_img (with its n + 1 sentinel), and C, the int64 array of the
+        symbols smaller than each c, with first_run: c's first run (r + 1
+        if none) is one past the runs whose LF image is at most C[c]."""
+        self.lex_starts = uint_array(self.n, lex_starts)
+        self.lex_img = uint_array(self.n + 1, lex_img)
+        self.C = C.tolist()
+        self.first_run = (np.searchsorted(lex_img[:-1], C, side="right")
+                          + 1).tolist()
+
+    def _runs(self, starts, img):
+        """Hold the walk tables, starts (with its n + 1 sentinel) and img,
+        as they are, and the bucket table of starts."""
+        self.starts = starts
+        self.img = img
+        self.shift, self.bucket = buckets(starts, self.n)
+
+    def _per_symbol(self, flat):
+        """dict c -> c's stretch of a table in (symbol, position) order."""
+        f = self.first_run
+        return {c: flat[f[c] - 1:f[c + 1] - 1]
+                for c in range(1, self.sigma + 1)}
 
     def count_range(self, syms):
         """Backward search for a symbol list; suffix range or None."""
@@ -77,11 +103,45 @@ class BackwardSearch:
                 after += 1
         return sp, ep, j, after
 
-    def _runs(self, starts):
-        """Hold starts, the runs' first positions plus an n + 1 sentinel
-        (an int64 array), and its bucket table."""
-        self.starts = uint_array(self.n + 1, starts)
-        self.shift, self.bucket = buckets(self.starts, self.n)
+    def backward_step(self, sp, ep, c):
+        """One backward step by c: returns (sp', ep', edge), or None when c
+        does not occur in bwt[sp..ep] (no position of c's block has its
+        Psi value in sp..ep).
+
+        sp' and ep' are C[c] plus the occurrences of c before sp, and up
+        to ep, plus one and plus zero: in c's stretch of the pair, the LF
+        image of the last c-run starting at or before the position, plus
+        the position's offset in it; past the run's end, ep' is the run's
+        last image and sp' the next run's first. One search for ep serves
+        both; sp's is bounded by its result. edge is 0 when the toehold
+        just drops by one, else where its sample is: on the BWT side
+        (TOEHOLD_AT_EP) the end of the c-run before ep, on the Psi side
+        the first position of the run whose head sample SA[sp] becomes.
+        """
+        starts, lf = self.lex_starts, self.lex_img
+        lo = self.first_run[c] - 1
+        k = bisect_right(starts, ep, lo, self.first_run[c + 1] - 1)
+        if k == lo:
+            return None
+        first, end = lf[k - 1], lf[k] - 1
+        ep2 = first + ep - starts[k - 1]
+        edge = 0
+        if ep2 > end:
+            ep2 = end
+            if self.TOEHOLD_AT_EP:
+                edge = starts[k - 1] + end - first
+        k = bisect_right(starts, sp, lo, k)
+        if k > lo:
+            sp2 = lf[k - 1] + sp - starts[k - 1]
+            if sp2 < lf[k]:
+                # sp lies in a c-run, so the range holds a c
+                return sp2, ep2, edge
+            sp2 = lf[k]
+        else:
+            sp2 = lf[lo]
+        if sp2 > ep2:
+            return None
+        return sp2, ep2, edge if self.TOEHOLD_AT_EP else sp2
 
     def step(self, j):
         """One LF step (BWT side) or Psi step (Psi side) from position j:
@@ -94,12 +154,13 @@ class BackwardSearch:
 
 
 class RunLengthBWT(BackwardSearch):
+    TOEHOLD_AT_EP = True
+
     def __init__(self, n, sigma, start, letters):
         self.n = n
         self.sigma = sigma
         self.r = len(letters)
         starts = np.append(view(start.positions), n + 1).astype(np.int64)
-        self._runs(starts)
         # runs in (symbol, position) order are the LF order of their
         # first positions: LF(run q's first position) is one plus the
         # length of all runs before q in that order; a stable sort of
@@ -108,17 +169,11 @@ class RunLengthBWT(BackwardSearch):
         sym = np.asarray(letters, dtype=np.min_scalar_type(sigma))
         order = np.argsort(sym, kind="stable")
         lf = np.concatenate(([0], np.cumsum(np.diff(starts)[order]))) + 1
+        cut = np.searchsorted(sym[order], np.arange(sigma + 2))
+        self._pair(starts[order], lf, lf[cut] - 1)
         img = np.empty(self.r, dtype=np.int64)
         img[order] = lf[:-1]
-        self.img = uint_array(n, img)
-        self.lex_starts = uint_array(n, starts[order])
-        self.lex_img = uint_array(n + 1, lf)
-        # c's runs are lex_starts[first_run[c] - 1:first_run[c + 1] - 1],
-        # so C[c], the number of symbols smaller than c, is
-        # lex_img[first_run[c] - 1] - 1
-        cut = np.searchsorted(sym[order], np.arange(sigma + 2))
-        self.first_run = (cut + 1).tolist()
-        self.C = (lf[cut] - 1).tolist()
+        self._runs(uint_array(n + 1, starts), uint_array(n, img))
 
     @property
     def start(self):
@@ -131,40 +186,8 @@ class RunLengthBWT(BackwardSearch):
         the c whose LF block C[c] + 1 .. C[c + 1] holds img[q-1]."""
         return (np.searchsorted(self.C, view(self.img)) - 1).tolist()
 
-    def backward_step(self, sp, ep, c):
-        """One backward step by c with the toehold SA[ep]: returns
-        (sp', ep', edge), or None when c does not occur in bwt[sp..ep].
-        sp' and ep' are C[c] plus the occurrences of c before sp, and up
-        to ep, plus one and plus zero: in c's stretch of the flat tables,
-        the LF image of the last c-run starting at or before the position,
-        plus the position's offset in it, capped at the run's end. edge is
-        0 when the toehold just drops by one (ep lies in a c-run), else
-        the end of the c-run whose sample it becomes. One search for ep
-        serves both; sp's is bounded by its result."""
-        starts, lf = self.lex_starts, self.lex_img
-        lo = self.first_run[c] - 1
-        k = bisect_right(starts, ep, lo, self.first_run[c + 1] - 1)
-        if k == lo:
-            return None
-        # c's last run starting at or before ep: ep lies in it, or the
-        # toehold becomes its end
-        first, end = lf[k - 1], lf[k]
-        edge = starts[k - 1] + end - first - 1
-        if ep <= edge:
-            ep2, edge = first + ep - starts[k - 1], 0
-        else:
-            ep2 = end - 1
-        k = bisect_right(starts, sp - 1, lo, k)
-        if k == lo:
-            sp2 = lf[lo]
-        else:
-            # sp - 1 in or past c's run k, capped at the run's end
-            sp2 = lf[k - 1] + sp - starts[k - 1]
-            if sp2 > lf[k]:
-                sp2 = lf[k]
-        return (sp2, ep2, edge) if sp2 <= ep2 else None
-
-    # own name: the benchmark's tracer wraps methods in the class __dict__
+    # own names: the benchmark's tracer wraps methods in the class __dict__
+    backward_step = BackwardSearch.backward_step
     lf_step = BackwardSearch.step
 
 

@@ -261,7 +261,8 @@ def _bits(buf, pos, count):
 class BlockedDeltaSeq:
     """Strictly increasing non-negative integers, held decoded in an
     array whose items fit a text of length n. No index holds one: the Psi
-    runs keep their heads in one flat table (rcsa.PsiRuns.img)."""
+    runs' heads are the run table pair's flat lex_starts
+    (rlbwt.BackwardSearch), which both sides share."""
 
     def __init__(self, values, n):
         self.values = array("I" if n < 1 << 32 else "Q", values)

@@ -2,11 +2,12 @@
 
 Symbols are remapped to a compact alphabet [1..sigma] preserving byte
 order, with symbol 1 reserved for the terminator (appended if missing).
-The bundle's sa, bwt and psi are 0-indexed numpy arrays holding 1-based
-values: sa[i-1] = SA[i] is the start of the i-th smallest suffix.
-BWT[i] = T[SA[i]-1] with T[0] wrapping to the terminator, and
-Psi(i) = ISA[(SA[i] mod n) + 1]. The suffix array comes from prefix
-doubling that re-sorts only the groups of suffixes not yet told apart.
+The bundle keeps sa and bwt, 0-indexed numpy arrays holding 1-based
+values: sa[i-1] = SA[i] is the start of the i-th smallest suffix, and
+BWT[i] = T[SA[i]-1] with T[0] wrapping to the terminator. ISA and
+Psi(i) = ISA[(SA[i] mod n) + 1] are computed when read; no builder reads
+them. The suffix array comes from prefix doubling that re-sorts only the
+groups of suffixes not yet told apart.
 
 The write path holds its n-sized arrays in the narrowest index type,
 int32 while every value it computes (up to n + 1) fits, else int64
@@ -164,18 +165,17 @@ def _regroup(slots, keys, idx, rank):
 
 
 class SuffixBundle:
-    """sa/bwt/psi as 0-indexed numpy arrays holding 1-based values: sa and
-    psi of index_dtype(n), bwt of the narrowest unsigned type that holds
-    sigma. isa is computed from sa when read; the builders do not read
-    it. The builders cut their run tables from these arrays and keep only
-    r-sized results, as Python ints."""
+    """sa/bwt as 0-indexed numpy arrays holding 1-based values: sa of
+    index_dtype(n), bwt of the narrowest unsigned type that holds sigma.
+    isa and psi are computed from sa when read, in its type; the builders
+    do not read them. The builders cut their run tables from these arrays
+    and keep only r-sized results."""
 
-    def __init__(self, text, sa, bwt, psi):
+    def __init__(self, text, sa, bwt):
         self.text = text
         self.n = text.n
         self.sa = sa
         self.bwt = bwt
-        self.psi = psi
 
     @property
     def isa(self):
@@ -184,26 +184,25 @@ class SuffixBundle:
         isa[self.sa - 1] = np.arange(1, self.n + 1, dtype=self.sa.dtype)
         return isa
 
+    @property
+    def psi(self):
+        """Psi as a 0-indexed array of 1-based values: psi[i - 1] =
+        ISA[(SA[i] mod n) + 1]."""
+        return self.isa[self.sa % self.n]
+
 
 def build_bundle(text):
     n = text.n
     symbols = text.symbols
     sa = _suffix_array(symbols)
-    dt = sa.dtype
     # prev[k] = T[k - 1] cyclically (0-based k), so the bwt is prev[sa]
     prev = np.empty(n, dtype=np.min_scalar_type(text.sigma))
     prev[0] = symbols[-1]
     prev[1:] = symbols[:-1]
     bwt = prev[sa]
     del prev
-    # isa, 1-based values, with one more slot that wraps the text around:
-    # Psi(i) = ISA[SA[i] + 1] reads slot n for the suffix at n - 1
-    isa = np.empty(n + 1, dtype=dt)
-    isa[sa] = np.arange(1, n + 1, dtype=dt)
-    isa[n] = isa[0]
     sa += 1
-    psi = isa[sa]
-    return SuffixBundle(text, sa, bwt, psi)
+    return SuffixBundle(text, sa, bwt)
 
 
 def oracle_search(text, pattern):

@@ -193,8 +193,10 @@ def memory_bytes(ix):
     """In-memory bytes per top-level table of an index: one entry per
     attribute, the run structure's under its attribute's name ("rl.start"),
     from a sys.getsizeof walk that counts an object shared by several
-    tables (a small int, a sentinel, a list two tables hold) once, under
-    the first table that reaches it."""
+    tables (a small int, a sentinel, an array two tables hold) once, under
+    the first table that reaches it. So both sides count their run table
+    pair under its names, lex_starts and lex_img, and the Psi side's
+    starts and img, which are that pair, at 0."""
     seen = set()
 
     def size(obj):

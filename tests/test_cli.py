@@ -136,6 +136,25 @@ class TestStats:
         assert (mem["lim"] >= 8 * gaps) == (variant == 2)
 
 
+    def test_index_stats_memory_shared_pair(self, corpus, tmp_path, capsys):
+        # both sides hold the run table pair under one pair of names; the
+        # Psi side's walk tables are that pair, counted once
+        sizes = {}
+        for kind, runs in (("r-index", "rl"), ("r-csa", "runs")):
+            idx = tmp_path / f"{kind}.bin"
+            run(["build", str(corpus), "-o", str(idx), "--kind", kind],
+                capsys)
+            rc, out, _ = run(["stats", str(idx)], capsys)
+            mem = json.loads(out)["memory_bytes"]
+            assert rc == 0
+            sizes[kind] = [mem[f"{runs}.{t}"]
+                           for t in ("lex_starts", "lex_img")]
+            assert min(sizes[kind]) > 0, kind
+            if runs == "runs":
+                assert mem["runs.starts"] == mem["runs.img"] == 0
+        assert sizes["r-index"] == sizes["r-csa"]
+
+
 class TestVerify:
     def test_exit_code_ok(self, corpus, capsys):
         rc, out, err = run(["verify", str(corpus), "--seed", "1"], capsys)

@@ -6,6 +6,7 @@ the per-run tables must agree with what they stand in for."""
 
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
 from srindex.envelope import deserialize, serialize
@@ -185,11 +186,12 @@ def test_per_run_tables_match_what_they_replace(data, block):
     # starts, img and slot stand where run_of, lf_step/psi and `removed`
     # were: a step read from img is LF (Psi) of every position, slot[q]
     # is nonzero exactly when run q's sample survives and then points at
-    # it, and the flat heads' backward and toehold steps answer as a
-    # scan of c's block does, for every range end
+    # it, and the one backward step answers as a scan of the bwt (BWT
+    # side) or of c's block (Psi side) does, for every range end
     bundle, indexes = located(data, block)
     n = bundle.n
     sa, isa, psi = bundle.sa.tolist(), bundle.isa.tolist(), bundle.psi.tolist()
+    bwt = bundle.bwt.tolist()
     for label, ix in indexes:
         bwt_side = ix.DIR < 0
         runs = ix.rl if bwt_side else ix.runs
@@ -208,15 +210,33 @@ def test_per_run_tables_match_what_they_replace(data, block):
             t = ix.slot[q]
             assert (t != 0) == (sample in kept), (label, q)
             assert not t or ix.samples_sub[t - 1] == sample, (label, q)
-        # the sr-CSAs hold the r-CSA's run structure (built) or one decoded
-        # from the same sections (loaded): scan the r-CSA's
-        if label not in ("r-csa", "loaded r-csa"):
+        # the subsampled kinds hold the full index's run structure (built)
+        # or one decoded from the same sections (loaded): scan the full
+        # indexes' ones
+        if label not in ("r-index", "loaded r-index",
+                         "r-csa", "loaded r-csa"):
             continue
+        ends = [(1, x) for x in range(1, n + 1)] + [
+            (x, n) for x in range(2, n + 1)] + [(x, x) for x in range(2, n)]
         for c in range(1, runs.sigma + 1):
+            if bwt_side:
+                # rank[j]: c in bwt[1..j]; last[j]: the last c in bwt[1..j]
+                rank, last = [0], [0]
+                for j, b in enumerate(bwt, 1):
+                    rank.append(rank[-1] + (b == c))
+                    last.append(j if b == c else last[-1])
+                C = runs.C[c]
+                for sp, ep in ends:
+                    want = None
+                    if rank[sp - 1] < rank[ep]:
+                        # the toehold SA[ep] drops by one when bwt[ep] is
+                        # c, else it is the sample at the end of the last
+                        # c-run before ep
+                        edge = 0 if bwt[ep - 1] == c else last[ep]
+                        want = (C + rank[sp - 1] + 1, C + rank[ep], edge)
+                    assert runs.backward_step(sp, ep, c) == want, (label, c)
+                continue
             block_c = range(runs.C[c] + 1, runs.C[c + 1] + 1)
-            ends = [(1, x) for x in range(1, n + 1)] + [
-                (x, n) for x in range(2, n + 1)] + [
-                (x, x) for x in range(2, n)]
             for sp, ep in ends:
                 hits = [i for i in block_c if sp <= psi[i - 1] <= ep]
                 want = None
@@ -227,3 +247,62 @@ def test_per_run_tables_match_what_they_replace(data, block):
                     assert not edge or edge in starts
                     want = (hits[0], hits[-1], edge)
                 assert runs.backward_step(sp, ep, c) == want, (label, c)
+
+
+def psi_runs_by_scan(bundle):
+    """The Psi runs found from Psi itself, not from the run-length BWT:
+    a run breaks where Psi does not go up by one, and at each C boundary.
+    Returns C, the run starts with an n + 1 sentinel, the heads (Psi at
+    each start) and first_run, all as lists."""
+    n, sigma, psi = bundle.n, bundle.text.sigma, bundle.psi
+    counts = np.bincount(bundle.text.symbols, minlength=sigma + 1)
+    C = np.concatenate(([0, 0], np.cumsum(counts[1:])))
+    brk = psi[1:] != psi[:-1] + 1
+    brk[C[2:sigma + 1] - 1] = True
+    starts = np.concatenate(([1], np.flatnonzero(brk) + 2))
+    # runs lie in symbol order: c's runs are those starting in C[c]+1..
+    first_run = np.searchsorted(starts, C + 1) + 1
+    return (C.tolist(), starts.tolist() + [n + 1],
+            psi[starts - 1].tolist(), first_run.tolist())
+
+
+# alphabets of 1 to 255 byte values (sigma 2 to 256 with the terminator),
+# drawn at random or repeating a short unit
+SIGMA_TEXTS = st.integers(1, 255).flatmap(lambda k: st.one_of(
+    st.lists(st.integers(1, k), min_size=1, max_size=MAX_N).map(bytes),
+    st.builds(lambda unit, reps: (unit * reps)[:MAX_N],
+              st.lists(st.integers(1, k), min_size=1, max_size=6)
+              .map(bytes), st.integers(1, MAX_N)),
+    st.permutations(range(1, k + 1)).map(bytes)))
+
+
+@hypothesis.seed(20240923)
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(data=st.one_of(TEXTS, SIGMA_TEXTS),
+                  block=st.sampled_from([1, 4, 64]))
+def test_psi_runs_are_bwt_runs_in_lf_order(data, block):
+    # the Psi runs, which the build cuts from the run-length BWT's pair,
+    # are the ones a scan of Psi finds, value for value, built or loaded:
+    # their starts are the BWT runs' LF images (lex_img) and their heads
+    # the BWT runs' first positions (lex_starts). So the samples match
+    # too: a Psi run's head sample SA[LF(j)] is the r-index's mark SA[j]
+    # minus one, and a Psi run's tail mark SA[LF(e)] the r-index's sample
+    # SA[e] - 1, both read cyclically (0 as n)
+    text = ingest(data)
+    bundle = build_bundle(text)
+    n = bundle.n
+    C, starts, heads, first_run = psi_runs_by_scan(bundle)
+    ri = build_rindex(bundle)
+    rc = build_rcsa(bundle, block)
+    for ri, rc in ((ri, rc), tuple(deserialize(serialize(ix, text.alphabet))[0]
+                                   for ix in (ri, rc))):
+        runs, rl = rc.runs, ri.rl
+        assert list(runs.starts) == starts == list(rl.lex_img)
+        assert list(runs.img) == heads == list(rl.lex_starts)
+        assert runs.i_psi == starts[:-1]
+        assert runs.first_run == first_run == rl.first_run
+        assert runs.C == C == rl.C
+        assert sorted(rc.f_sa) == sorted(
+            m - 1 or n for m in ri.first.positions)
+        assert list(rc.marks_l.positions) == sorted(
+            v or n for v in ri.samples)

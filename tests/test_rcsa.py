@@ -3,9 +3,9 @@ import random
 import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
-from srindex.rcsa import build_psi_runs, build_rcsa
-from srindex.rlbwt import build_rlbwt
-from srindex.textcore import build_bundle, ingest
+from srindex.rcsa import PsiRuns, build_psi_runs, build_rcsa
+from srindex.rlbwt import RunLengthBWT, build_rlbwt
+from srindex.textcore import SuffixBundle, build_bundle, ingest
 
 T1 = b"abaaba"
 
@@ -82,6 +82,40 @@ class TestPsi:
                 # the ranges agree; the toeholds differ (SA[sp], SA[ep])
                 got, want = (x.backward_step(sp, ep, c) for x in (rc.runs, rl))
                 assert (got and got[:2]) == (want and want[:2])
+
+
+class TestOneRunTablePair:
+    def test_one_backward_step_body(self):
+        # both sides count with the one step on the shared pair, under
+        # each class's own name for the tracer
+        assert vars(RunLengthBWT)["backward_step"] is \
+            vars(PsiRuns)["backward_step"]
+        _, _, rc = make(b"abracadabra" * 3)
+        runs = rc.runs
+        assert runs.starts is runs.lex_img and runs.img is runs.lex_starts
+
+    def test_built_without_psi(self):
+        # the bundle holds no psi or isa, and the Psi runs and the r-CSA
+        # are built from a bundle whose psi and isa cannot be read
+        class NoPsi(SuffixBundle):
+            def fail(self):
+                raise AssertionError("psi or isa read")
+            psi = isa = property(fail)
+
+        rng = random.Random(47)
+        for _ in range(20):
+            data = random_text(rng, rng.randrange(2, 200),
+                               rng.choice([2, 4, 26]))
+            b = build_bundle(ingest(data))
+            assert not {"psi", "isa"} & set(vars(b))
+            blind = NoPsi(b.text, b.sa, b.bwt)
+            runs, want = build_psi_runs(blind, 4), build_psi_runs(b, 4)
+            assert runs.i_psi == want.i_psi == [
+                i for i in range(1, b.n + 1)
+                if i == 1 or b.psi[i - 1] != b.psi[i - 2] + 1
+                or i - 1 in runs.C]
+            assert list(runs.img) == [b.psi[i - 1] for i in runs.i_psi]
+            assert build_rcsa(blind, 4).f_sa == build_rcsa(b, 4).f_sa
 
 
 class TestIphi:

@@ -343,7 +343,7 @@ def test_toehold_search_makes_two_searches_a_step(kind, monkeypatch):
     data = toolkit.gen_corpus(20_000, 4, 0.001, seed=2)
     bi = toolkit.build_index(data, kind, block=4)
     runs = bi.ix._direction()[0]
-    module = importlib.import_module(type(runs).__module__)
+    module = importlib.import_module(type(runs).backward_step.__module__)
     calls = []
     search = module.bisect_right
     monkeypatch.setattr(module, "bisect_right",

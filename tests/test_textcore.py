@@ -260,12 +260,12 @@ class TestBuilders:
         self.test_envelopes_pinned(kind, s, variant)
 
     def test_bundle_memory(self):
-        # the bundle keeps sa and psi as int32 and the bwt as one byte a
-        # symbol: 9 bytes a symbol
+        # the bundle keeps sa as int32 and the bwt as one byte a symbol:
+        # 5 bytes a symbol (psi and isa are computed only when read)
         text = ingest(CORPUS)
         b, _, kept = traced(build_bundle, text)
         assert b.n == text.n
-        assert kept <= 12 * text.n, kept / text.n
+        assert kept <= 6 * text.n, kept / text.n
 
     def test_build_peak_memory(self):
         # the suffix sort's peak: int32 order and ranks, and one round's
