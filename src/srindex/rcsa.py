@@ -92,17 +92,18 @@ class RCsa(SrCsa):
     count_toehold = SrCsa.count_toehold
 
 
-def build_psi_runs(bundle, block=DEFAULT_BLOCK):
+def build_psi_runs(bundle, block=DEFAULT_BLOCK, rl=None):
     # the Psi runs are the BWT runs in LF order: their starts, heads and
     # tails are cut from the run-length BWT's pair
-    rl = build_rlbwt(bundle)
+    if rl is None:
+        rl = build_rlbwt(bundle)
     heads, lf = (view(t).astype(np.int64) for t in (rl.lex_starts, rl.lex_img))
     return PsiRuns(rl.n, rl.sigma, rl.C, lf[:-1], rl._per_symbol(heads),
                    rl._per_symbol(heads + np.diff(lf) - 1), block)
 
 
-def build_rcsa(bundle, block=DEFAULT_BLOCK):
-    runs = build_psi_runs(bundle, block)
+def build_rcsa(bundle, block=DEFAULT_BLOCK, rl=None):
+    runs = build_psi_runs(bundle, block, rl)
     sa = bundle.sa
     i_psi = runs.i_psi_array.astype(np.int64)
     # the tail of run q is marked with SA there, paired with the head

@@ -11,8 +11,9 @@ groups of suffixes not yet told apart.
 
 The write path holds its n-sized arrays in the narrowest index type,
 int32 while every value it computes (up to n + 1) fits, else int64
-(index_dtype); only the text's symbols and the suffix sort's packed keys
-are int64, and the bwt holds one or two bytes a symbol.
+(index_dtype). The text's symbols and the bwt hold one byte a symbol, or
+two at sigma = 256; only the suffix sort's first sort holds n-sized int64
+arrays.
 """
 
 import numpy as np
@@ -22,7 +23,8 @@ TERMINATOR = 0  # byte value reserved for the end marker
 
 class Text:
     def __init__(self, symbols, alphabet):
-        self.symbols = symbols            # int64 array, values in [1..sigma]
+        # values in [1..sigma], in the narrowest unsigned type holding sigma
+        self.symbols = symbols
         self.n = len(symbols)
         self.alphabet = alphabet          # alphabet[sym-1] = original byte
         self.sigma = len(alphabet)
@@ -57,12 +59,12 @@ def flatten_fasta(data):
 
 def ingest(data, fasta=False):
     """bytes -> Text. Rejects empty input and interior terminator bytes.
-    The symbols are one int64 array: the bytes mapped through a 256-entry
-    lookup table, then the terminator. Neither step makes an n-sized
-    temporary wider than a byte: np.add.at and the table lookup cast the
-    bytes to indices a buffer at a time (np.bincount and np.take would
-    cast them all, 8 bytes a symbol), and the table holds symbol - 1,
-    which fits a byte."""
+    The symbols are one array of the narrowest unsigned type that holds
+    sigma (uint8, or uint16 at sigma = 256): the bytes mapped through a
+    256-entry lookup table, then the terminator. Neither step makes an
+    n-sized temporary wider than a symbol: np.add.at and the table lookup
+    cast the bytes to indices a buffer at a time (np.bincount and np.take
+    would cast them all, 8 bytes a symbol)."""
     if fasta:
         data = flatten_fasta(data)
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -75,10 +77,10 @@ def ingest(data, fasta=False):
     present = np.flatnonzero(counts)
     if present[0] == TERMINATOR:
         raise ValueError("terminator byte 0x00 inside the text")
-    code = np.zeros(256, dtype=np.uint8)
-    code[present] = np.arange(1, present.size + 1)
-    symbols = np.empty(raw.size + 1, dtype=np.int64)
-    np.add(code[raw], 1, out=symbols[:-1], dtype=np.int64)
+    code = np.zeros(256, dtype=np.min_scalar_type(present.size + 1))
+    code[present] = np.arange(2, present.size + 2)
+    symbols = np.empty(raw.size + 1, dtype=code.dtype)
+    symbols[:-1] = code[raw]
     symbols[-1] = 1
     return Text(symbols, [TERMINATOR] + present.tolist())
 
@@ -95,6 +97,10 @@ def index_dtype(n):
     return np.int32 if n + 1 <= INT32_MAX else np.int64
 
 
+# the fewest unfinished slots one piece of a doubling round sorts at once
+CHUNK = 2**16
+
+
 def _suffix_array(symbols):
     """Suffix array by prefix doubling that re-sorts only unfinished groups
     (Larsson and Sadakane, Faster suffix sorting, TCS 2007); returns the
@@ -108,12 +114,19 @@ def _suffix_array(symbols):
     further on). A group head is the group's first slot in the order, so a
     rank is final once its group is a singleton.
 
-    Only the packed sort keys are int64; the order, the ranks, the
-    unfinished slots and their heads are index_dtype(n). The first sort
-    need not be stable: its keys tie only where the suffixes' groups
-    tie, and later rounds order each group's members by their own keys.
+    Only the first sort holds n-sized int64 arrays: the packed keys and
+    argsort's permutation. It need not be stable: its keys tie only where
+    the suffixes' groups tie, and later rounds order each group's members
+    by their own keys. The first grouping and every round then run in
+    pieces, each a run of whole groups of at least CHUNK slots, with their
+    own keys, sort and regroup. A group larger than CHUNK is one piece, so
+    on a text of one repeated symbol, whose groups hold nearly every slot,
+    a round peaks as an unpieced one would. A piece may read ranks that
+    earlier pieces of the same round refined. That is sound: a refined
+    rank is a head within the old group, so it orders suffixes as the old
+    rank did and only splits its ties, by a longer sorted prefix.
     """
-    a = np.asarray(symbols, dtype=np.int64)
+    a = np.asarray(symbols)
     n = a.size
     dt = index_dtype(n)
     bits = int(a.max()).bit_length()
@@ -125,43 +138,76 @@ def _suffix_array(symbols):
         if j < n:
             key[:n - j] |= a[j:]
     order = np.argsort(key).astype(dt)
-    key = key[order]
-    rank = np.empty(n, dtype=dt)
-    todo, heads = _regroup(np.arange(n, dtype=dt), key, order, rank)
+    key.sort()
+    new = _group_starts(key)
     del key
-    while todo.size:
-        idx = order[todo]
-        # an unfinished suffix does not reach the terminator: idx + h < n
-        key = np.multiply(heads, n + 1, dtype=np.int64)
-        del heads
-        key += rank[idx + h]
-        perm = np.argsort(key, kind="stable")
-        idx = idx[perm]
-        key = key[perm]
-        del perm
-        order[todo] = idx
-        todo, heads = _regroup(todo, key, idx, rank)
-        del key, idx
+    rank = np.empty(n, dtype=dt)
+    # the unfinished slots and their heads, compacted into the front
+    todo = np.empty(n, dtype=dt)
+    heads = np.empty(n, dtype=dt)
+    m = lo = 0
+    while lo < n:
+        hi = min(lo + CHUNK, n)
+        hi += int(new[hi:].argmax())
+        m = _regroup(np.arange(lo, hi, dtype=dt), new[lo:hi + 1],
+                     order[lo:hi], rank, todo, heads, m)
+        lo = hi
+    del new
+    while m:
+        kept = lo = 0
+        while lo < m:
+            last = heads[min(lo + CHUNK, m) - 1]
+            hi = lo + int(np.searchsorted(heads[lo:m], last, "right"))
+            slots = todo[lo:hi]
+            idx = order[slots]
+            # an unfinished suffix does not reach the terminator: idx + h < n
+            later = rank[idx + h]
+            key = np.multiply(heads[lo:hi], n + 1, dtype=np.int64)
+            key += later
+            perm = np.argsort(key, kind="stable")
+            del key
+            idx = idx[perm]
+            # the sort moves suffixes only within their groups
+            new = _group_starts(heads[lo:hi], later[perm])
+            del perm, later
+            order[slots] = idx
+            kept = _regroup(slots, new, idx, rank, todo, heads, kept)
+            lo = hi
+        m = kept
         h *= 2
     return order
 
 
-def _regroup(slots, keys, idx, rank):
-    """Split the sorted members of unfinished groups, which sit at slots
-    of the order (increasing), by their sorted keys: each suffix idx gets
-    its new group's head as rank. Returns the slots still in groups of two
-    or more, and their heads."""
-    m = slots.size
-    new = np.empty(m + 1, dtype=bool)
+def _group_starts(*keys):
+    """Sorted key columns -> m + 1 flags: where a run of equal key tuples
+    starts, and a last one past the end."""
+    m = keys[0].size
+    new = np.zeros(m + 1, dtype=bool)
     new[0] = new[m] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:m])
+    for k in keys:
+        new[1:m] |= k[1:] != k[:-1]
+    return new
+
+
+def _regroup(slots, new, idx, rank, todo, heads, kept):
+    """Split whole unfinished groups, whose sorted members sit at slots of
+    the order (increasing), where new flags a group start: each suffix idx
+    gets its new group's head as rank. The slots still in groups of two or
+    more, and their heads, go to todo and heads from position kept on;
+    returns the position after them. slots may be a view of todo: the
+    kept slots are copied out before they are written."""
+    m = slots.size
     # slots increase, so a slot's head is the largest new-group slot so far
-    heads = np.where(new[:m], slots, 0)
-    np.maximum.accumulate(heads, out=heads)
-    rank[idx] = heads
+    hd = np.where(new[:m], slots, 0)
+    np.maximum.accumulate(hd, out=hd)
+    rank[idx] = hd
     # a singleton starts a group and the next slot starts another
     keep = ~(new[:m] & new[1:])
-    return slots[keep], heads[keep]
+    stay = slots[keep]
+    end = kept + stay.size
+    todo[kept:end] = stay
+    heads[kept:end] = hd[keep]
+    return end
 
 
 class SuffixBundle:
@@ -192,15 +238,9 @@ class SuffixBundle:
 
 
 def build_bundle(text):
-    n = text.n
-    symbols = text.symbols
-    sa = _suffix_array(symbols)
-    # prev[k] = T[k - 1] cyclically (0-based k), so the bwt is prev[sa]
-    prev = np.empty(n, dtype=np.min_scalar_type(text.sigma))
-    prev[0] = symbols[-1]
-    prev[1:] = symbols[:-1]
-    bwt = prev[sa]
-    del prev
+    sa = _suffix_array(text.symbols)
+    # the bwt is T[k - 1] cyclically (0-based k) at each k = sa
+    bwt = np.roll(text.symbols, 1)[sa]
     sa += 1
     return SuffixBundle(text, sa, bwt)
 
@@ -211,7 +251,7 @@ def oracle_search(text, pattern):
     if syms is None:
         return 0, []
     # symbols fit in a byte after the -1 shift (sigma <= 256)
-    hay = (text.symbols[:-1] - 1).astype(np.uint8).tobytes()
+    hay = (text.symbols[:-1] - 1).astype(np.uint8, copy=False).tobytes()
     needle = bytes(v - 1 for v in syms)
     out = []
     start = hay.find(needle)

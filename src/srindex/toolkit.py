@@ -133,13 +133,15 @@ def _mutate(arr, alpha, p, rng):
 
 def text_stats(data, s_values=(1, 2, 4, 8, 16, 64), bins=20, fasta=False):
     """Run structure of a text: n, r, n/r, confined Psi-run count, kept
-    samples per s, and a run-head density histogram over text positions."""
+    samples per s, and a run-head density histogram over text positions.
+    The Psi runs are the BWT runs in LF order, so their count equals r by
+    construction."""
     if bins < 1:
         raise ValueError("bins must be at least 1")
     text = ingest(data, fasta=fasta)
     bundle = build_bundle(text)
     rl = build_rlbwt(bundle)
-    runs = build_psi_runs(bundle)
+    runs = build_psi_runs(bundle, rl=rl)
     rindex = build_rindex(bundle, rl)
     values = sorted(rindex.samples)
     kept = {}
@@ -264,7 +266,7 @@ def verify(data, kinds=None, s_values=(4, 8), seed=0,
     bundle = build_bundle(text)
     rl = build_rlbwt(bundle)
     rindex = build_rindex(bundle, rl)
-    rcsa = build_rcsa(bundle)
+    rcsa = build_rcsa(bundle, rl=rl)
     indexes = {}
     for kind in kinds:
         if kind in SUBSAMPLED_KINDS:

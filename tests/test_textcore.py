@@ -49,7 +49,7 @@ class TestIngest:
         assert t.n == 7
         assert t.alphabet == [0, ord("a"), ord("b")]
         assert t.symbols.tolist() == [2, 3, 2, 2, 3, 2, 1]
-        assert t.symbols.dtype == np.int64
+        assert t.symbols.dtype == np.uint8
 
     def test_trailing_terminator_accepted(self):
         assert (ingest(T1 + b"\x00").symbols.tolist()
@@ -63,6 +63,14 @@ class TestIngest:
         assert t.symbols.tolist() == [b + 1 for b in data] + [1]
         assert ingest(bytearray(data)).symbols.tolist() == \
             t.symbols.tolist()
+
+    def test_narrow_symbols(self):
+        # the narrowest unsigned type that holds sigma: one byte a symbol
+        # up to 254 distinct bytes, two for all 255
+        assert ingest(bytes(range(1, 255))).symbols.dtype == np.uint8
+        t = ingest(bytes(range(1, 256)))
+        assert t.sigma == 256 and t.symbols.dtype == np.uint16
+        assert t.symbols.tolist() == list(range(2, 257)) + [1]
 
     def test_rejects_empty(self):
         for bad in (b"", b"\x00"):
@@ -80,8 +88,8 @@ class TestIngest:
         assert t.n == 9
 
     def test_memory(self):
-        # the int64 symbols and one byte a symbol of lookup results: the
-        # counting and the lookup cast no n-sized index array
+        # the one-byte symbols and one byte a symbol of lookup results:
+        # the counting and the lookup cast no n-sized index array
         data = toolkit.gen_corpus(100_000, 4, 0.001, seed=3)
         t, peak, _ = traced(ingest, data)
         assert t.n == len(data) + 1
@@ -193,6 +201,30 @@ class TestSuffixArray:
             assert ingest(data).sigma == 256
             assert suffix_array(data) == naive_sa(data)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_piece_boundaries(self, chunk, width, monkeypatch):
+        # pieces of a few slots cut every round at many group boundaries,
+        # and a single-symbol text's one group spans every piece
+        monkeypatch.setattr(textcore, "CHUNK", chunk)
+        rng = random.Random(chunk)
+        texts = [b"a" * k for k in (1, 2, 3, 7, 8, 50)]
+        for sigma in range(1, 27):
+            texts.append(random_text(rng, rng.randrange(1, 120), sigma))
+            unit = random_text(rng, rng.randrange(1, 6), sigma)
+            texts.append(unit * rng.randrange(1, 40))
+        for data in texts:
+            sa = _suffix_array(ingest(data).symbols)
+            assert sa.dtype == width
+            assert (sa + 1).tolist() == naive_sa(data), data
+
+    def test_memory(self):
+        # only the first sort holds n-sized int64 arrays: the packed keys,
+        # argsort's permutation and the int32 order, 20 bytes a symbol;
+        # the rounds sort pieces of whole groups
+        text = ingest(toolkit.gen_corpus(100_000, 10, 0.001, seed=1005))
+        _, peak, _ = traced(_suffix_array, text.symbols)
+        assert peak <= 24 * text.n, peak / text.n
+
     @pytest.mark.skipif(given is None, reason="needs hypothesis")
     def test_arbitrary_bytes(self):
         @settings(max_examples=300, deadline=None)
@@ -295,6 +327,19 @@ class TestOracleSearch:
         assert oracle_search(t, b"zz") == (0, [])
         assert oracle_search(t, b"") == (0, [])
         assert oracle_search(t, b"a") == (4, [1, 3, 4, 6])
+
+    def test_two_byte_symbols(self):
+        # sigma = 256 holds the symbols in uint16; the scan and verify
+        # answer as on one-byte symbols
+        rng = random.Random(5)
+        data = bytes(range(1, 256)) + bytes(rng.randrange(1, 256)
+                                            for _ in range(300))
+        t = ingest(data)
+        assert t.symbols.dtype == np.uint16
+        for pat in (data[:1], data[7:9], data[300:305], b"\x01\x02\x03"):
+            assert oracle_search(t, pat)[1] == naive_occurrences(data, pat)
+        ok, report = toolkit.verify(data, s_values=(2,), seed=1)
+        assert ok, report
 
     def test_terminator_excluded(self):
         t = ingest(b"aba")

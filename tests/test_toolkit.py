@@ -816,6 +816,24 @@ class TestStats:
             hist[min(9, (p - 1) * 10 // st["n"])] += 1
         assert st["mark_histogram"] == hist
 
+    def test_one_run_length_bwt_per_text(self, monkeypatch):
+        # text_stats and verify pass their run-length BWT to the Psi side
+        from srindex import rcsa
+        calls = []
+
+        def counted(bundle):
+            calls.append(bundle)
+            return build(bundle)
+
+        build = toolkit.build_rlbwt
+        for mod in (toolkit, rcsa):
+            monkeypatch.setattr(mod, "build_rlbwt", counted)
+        data = b"abracadabra" * 20
+        toolkit.text_stats(data, s_values=(4,))
+        assert len(calls) == 1
+        assert toolkit.verify(data, s_values=(4,))[0]
+        assert len(calls) == 2
+
     def test_index_stats_fields(self):
         blob = toolkit.build_index(b"abracadabra" * 40, "r-csa",
                                    block=8).serialize()
