@@ -180,7 +180,7 @@ def _dense_from(blob):
     if (len(blob) != 8 + 8 * -(-n // WORD)
             or n % WORD and words[-1] >> np.uint64(n % WORD)):
         raise FormatError("dense bitvector length mismatch")
-    return DenseBitvector.from_words(words.tolist(), n)
+    return DenseBitvector.from_words(words, n)
 
 
 def _sparse_bytes(bv):
@@ -343,7 +343,10 @@ def _delta_from(blob, block):
                             & (1 << LEAD) - 1).ravel()[:nbits + 1]
     end = np.arange(nbits + 1, dtype=np.int64)
     end += width
-    end[(width == 0) | (end > nbits)] = -1      # delta_read's, or past nbits
+    end[width == 0] = -1                        # delta_read's
+    # past nbits: a width is at most 64, so only from the last 64 bits
+    tail = end[-64:]
+    tail[tail > nbits] = -1
     nxt = memoryview(end)
     stream = bytes(blob[off:])
     read = succinct.delta_read        # looked up where a tracer wraps it
@@ -352,15 +355,14 @@ def _delta_from(blob, block):
     p = 0
     for k in range(codes):
         starts[k] = p
-        q = nxt[p]
-        if q < 0:
-            wide[k], q = read(stream, p)
-            if q > nbits:
+        p = nxt[p]
+        if p < 0:
+            wide[k], p = read(stream, starts[k])
+            if p > nbits:
                 raise ValueError("delta codes do not end at the stream's end")
-        p = q
     if p != nbits:
         raise ValueError("delta codes do not end at the stream's end")
-    x = _windows(words, np.array(starts, dtype=np.uint64))
+    x = _windows(words, np.fromiter(starts, np.uint64, codes))
     z, L = _delta_shape(x)
     one = np.uint64(1)
     top = one << (L - one)

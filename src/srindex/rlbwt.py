@@ -11,7 +11,8 @@ consecutive positions of c's block, so the Psi runs are these runs read
 the other way: a Psi run starts at lex_img[q-1], and its head, Psi
 there, is lex_starts[q-1] (Makinen et al., JCB 2010). Both sides count
 with one backward_step on the pair: two searches of c's stretch of
-lex_starts, sp's bounded by ep's result.
+lex_starts, each in one bucket of the pair's bucket table, which gives
+every symbol a section of buckets over its own run starts.
 
 The run-length BWT adds the run-order tables that LF steps read: starts,
 the first bwt position of each run plus an n + 1 sentinel, so run q spans
@@ -27,7 +28,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .succinct import SparseBitvector, buckets, uint_array, view
+from .succinct import (SparseBitvector, buckets, cumulative, low_bits,
+                       uint_array, view)
 
 
 class BackwardSearch:
@@ -43,19 +45,38 @@ class BackwardSearch:
         """Hold the runs in (symbol, position) order, lex_starts and
         lex_img (with its n + 1 sentinel), and C, the int64 array of the
         symbols smaller than each c, with first_run: c's first run (r + 1
-        if none) is one past the runs whose LF image is at most C[c]."""
-        self.lex_starts = uint_array(self.n, lex_starts)
-        self.lex_img = uint_array(self.n + 1, lex_img)
-        self.C = C.tolist()
-        self.first_run = (np.searchsorted(lex_img[:-1], C, side="right")
-                          + 1).tolist()
+        if none) is one past the runs whose LF image is at most C[c].
 
-    def _runs(self, starts, img):
+        The pair's bucket table, lex_bucket, gives each symbol c a section
+        of lex_width entries from (c - 1) * lex_width on: entry h of it is
+        the index of c's first run whose start x has x >> lex_shift >= h,
+        so a search of c's runs for x in 0..n + 1 bisects only the runs
+        between entries h and h + 1, with h = x >> lex_shift. lex_shift
+        makes a bucket hold about one run, and the table at most
+        r + sigma + 1 entries."""
+        n, sigma, r = self.n, self.sigma, len(lex_starts)
+        self.lex_starts = uint_array(n, lex_starts)
+        self.lex_img = uint_array(n + 1, lex_img)
+        self.C = C.tolist()
+        first_run = np.searchsorted(lex_img[:-1], C, side="right") + 1
+        self.first_run = first_run.tolist()
+        # 2**shift > sigma * n / r, so sigma * ((n + 1) >> shift) <= r;
+        # runs are keyed by section and bucket, keys that rise with the
+        # runs' (symbol, position) order
+        self.lex_shift = shift = low_bits(sigma * n, r) + 1
+        self.lex_width = width = ((n + 1) >> shift) + 1
+        key = (lex_starts >> shift) + np.repeat(
+            np.arange(0, sigma * width, width), np.diff(first_run[1:]))
+        self.lex_bucket = cumulative(
+            np.bincount(key, minlength=sigma * width), r)
+
+    def _runs(self, starts, img, table=None):
         """Hold the walk tables, starts (with its n + 1 sentinel) and img,
-        as they are, and the bucket table of starts."""
+        as they are, and the (shift, bucket) table of starts, made here
+        unless given."""
         self.starts = starts
         self.img = img
-        self.shift, self.bucket = buckets(starts, self.n)
+        self.shift, self.bucket = table or buckets(starts, self.n)
 
     def _per_symbol(self, flat):
         """dict c -> c's stretch of a table in (symbol, position) order."""
@@ -112,15 +133,19 @@ class BackwardSearch:
         to ep, plus one and plus zero: in c's stretch of the pair, the LF
         image of the last c-run starting at or before the position, plus
         the position's offset in it; past the run's end, ep' is the run's
-        last image and sp' the next run's first. One search for ep serves
-        both; sp's is bounded by its result. edge is 0 when the toehold
-        just drops by one, else where its sample is: on the BWT side
+        last image and sp' the next run's first. Each position's search
+        bisects one bucket of c's section of lex_bucket, which holds about
+        one run, and ep's serves the toehold too. edge is 0 when the
+        toehold just drops by one, else where its sample is: on the BWT side
         (TOEHOLD_AT_EP) the end of the c-run before ep, on the Psi side
         the first position of the run whose head sample SA[sp] becomes.
         """
-        starts, lf = self.lex_starts, self.lex_img
+        starts, lf, bucket = self.lex_starts, self.lex_img, self.lex_bucket
+        shift = self.lex_shift
         lo = self.first_run[c] - 1
-        k = bisect_right(starts, ep, lo, self.first_run[c + 1] - 1)
+        base = (c - 1) * self.lex_width
+        b = base + (ep >> shift)
+        k = bisect_right(starts, ep, bucket[b], bucket[b + 1])
         if k == lo:
             return None
         first, end = lf[k - 1], lf[k] - 1
@@ -130,7 +155,8 @@ class BackwardSearch:
             ep2 = end
             if self.TOEHOLD_AT_EP:
                 edge = starts[k - 1] + end - first
-        k = bisect_right(starts, sp, lo, k)
+        b = base + (sp >> shift)
+        k = bisect_right(starts, sp, bucket[b], bucket[b + 1])
         if k > lo:
             sp2 = lf[k - 1] + sp - starts[k - 1]
             if sp2 < lf[k]:
@@ -173,7 +199,8 @@ class RunLengthBWT(BackwardSearch):
         self._pair(starts[order], lf, lf[cut] - 1)
         img = np.empty(self.r, dtype=np.int64)
         img[order] = lf[:-1]
-        self._runs(uint_array(n + 1, starts), uint_array(n, img))
+        self._runs(uint_array(n + 1, starts), uint_array(n, img),
+                   start.buckets_to_end())
 
     @property
     def start(self):

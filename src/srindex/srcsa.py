@@ -18,7 +18,7 @@ core's per-gap tables, iphi is one successor search on the marks plus one
 add, and its reuse check one comparison with the gap's lim.
 """
 
-from .srindex import LIM_END, Subsampled, subsample
+from .srindex import Subsampled, subsample
 from .succinct import DEFAULT_BLOCK
 
 
@@ -32,7 +32,6 @@ class SrCsa(Subsampled):
     DIR = 1       # Psi: SA[Psi(i)] = SA[i] + 1
     SHIFT = 0     # samples are SA[run head]; iphi takes SA
     PROBE = -1    # SA[j]'s gap ends at the first mark >= it
-    SAFE, NEVER = -LIM_END, LIM_END
 
     def __init__(self, runs, s, variant, removed, samples_sub, marks_l,
                  mark_map, valid=None, valid_area=None):

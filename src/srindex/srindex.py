@@ -14,9 +14,10 @@ whether one does, variant 2 also how far from the mark the first one
 lies. Both are held as lim[g], the bound a reuse in gap g must start
 beyond (an integer sentinel past every SA value when every or no value
 may), so a reused step costs the same one search. offs and lim are
-int64 arrays, built when the index is built or loaded; they replace the
-format's tables (mark_map, valid, valid_area), which are derived from
-them again on write.
+arrays of the narrowest signed type that holds +-(2n + 2), and the
+sentinels are that type's bounds. They are built when the index is built
+or loaded and replace the format's tables (mark_map, valid, valid_area),
+which are derived from them again on write.
 
 Runs are read from flat per-run tables, a light form of the move tables
 of Nishimoto and Tabei (ICALP 2021): the run structure's starts (with an
@@ -45,17 +46,13 @@ tables, and the build step, where the Psi side's sweep and validity data
 are the BWT side's on mirrored (negated) text positions.
 """
 
-from array import array
 from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
 
-from .succinct import DenseBitvector, SparseBitvector, uint_array, view
-
-# lim's sentinels: beyond every SA value, and every bound a gap can hold,
-# as the loader keeps n below 2**62
-LIM_END = (1 << 63) - 1
+from .succinct import (DenseBitvector, SparseBitvector, int_array,
+                       uint_array, view)
 
 
 class QueryCounters:
@@ -99,8 +96,9 @@ class Subsampled:
     v + offs[gap]; lim[gap] is SAFE when a reuse there is always safe,
     NEVER when it never is (variant 1), else the bound v must lie beyond
     in direction DIR: reuse is safe when (lim[gap] - v) * DIR < 0. Both
-    sentinels are ints past every SA value, on the side that makes that
-    test always or never hold. Every search of the marks or of the run
+    sentinels are per index, the bounds of the signed type that offs and
+    lim share, so past every SA value, on the side that makes that test
+    always or never hold. Every search of the marks or of the run
     starts looks in the searched value's bucket only (succinct.buckets).
     _direction() gives the run structure and the toehold of the full
     range. A run's sample sits at its end on the BWT side and at its
@@ -149,7 +147,11 @@ class Subsampled:
         # the wrap gap is the gap of the last mark (BWT) or the first
         # (Psi), with that mark moved by d * n across the text's end
         src, at = (-1, 0) if d < 0 else (0, marks.size)
-        offs = np.insert(offs, at, offs[src] - d * n)
+        # every value lies within +-2n: n for a gap, n more for the wrap
+        offs = int_array(2 * n + 2, np.insert(offs, at, offs[src] - d * n))
+        # lim's sentinels are the bounds of the type the tables share
+        end = int(np.iinfo(offs.typecode).max)
+        self.SAFE, self.NEVER = -d * end, d * end
         lim = None
         if variant:
             # SAFE where valid's bit is set; elsewhere NEVER, or at
@@ -159,10 +161,9 @@ class Subsampled:
             lim[gone] = self.NEVER if variant == 1 else (
                 marks[gone] - d * np.asarray(valid_area, dtype=np.int64))
             x = lim[src]
-            lim = array("q", np.insert(
-                lim, at, x if x in (self.SAFE, self.NEVER) else x + d * n
-            ).tobytes())
-        return array("q", offs.tobytes()), lim
+            lim = int_array(2 * n + 2, np.insert(
+                lim, at, x if x in (self.SAFE, self.NEVER) else x + d * n))
+        return offs, lim
 
     def _per_mark(self, table):
         """offs or lim without the wrap gap: one entry per mark."""
@@ -176,8 +177,9 @@ class Subsampled:
         samples, the searched values in sorted order too, which is what
         makes searchsorted fast."""
         samples = view(self.samples_sub)
-        want = (self._per_mark(view(self.offs)) - self.SHIFT
-                + view(self.marks.positions).astype(np.int64))
+        want = view(self.marks.positions).astype(np.int64)
+        want += self._per_mark(view(self.offs))
+        want -= self.SHIFT
         order = np.argsort(samples)
         by_want = np.argsort(want)
         slots = np.empty(want.size, dtype=np.int64)
@@ -205,8 +207,8 @@ class Subsampled:
             return ((marks[bad] - lim[bad]) * self.DIR).tolist()
 
     def _lim_per_mark(self):
-        """lim without the wrap gap, as an int64 array view."""
-        return self._per_mark(view(self.lim))
+        """lim without the wrap gap, as an int64 array."""
+        return self._per_mark(view(self.lim)).astype(np.int64)
 
     @classmethod
     def _parts(cls, full, marks, s, variant):
@@ -280,8 +282,7 @@ class Subsampled:
         """phi of i = SA[j] - SHIFT: SA[j - 1] on the BWT side, SA[j + 1]
         on the Psi side. With check, None unless lim shows that no removed
         mark lies between i and the mark phi reads. i may be a numpy int;
-        the answer is a Python int, as lim's sentinels fit no narrower
-        type."""
+        the answer is a Python int."""
         v = int(i) + self.SHIFT
         x = v + self.PROBE
         marks = self.marks
@@ -396,7 +397,6 @@ class SrIndex(Subsampled):
     DIR = -1      # LF: SA[LF(j)] = SA[j] - 1
     SHIFT = 1     # samples are SA[run end] - 1; phi takes SA - 1
     PROBE = 0     # marks are stored + 1: SA[j]'s gap follows the last <= it
-    SAFE, NEVER = LIM_END, -LIM_END
 
     def __init__(self, rl, s, variant, sa_last, removed, samples_sub, marks,
                  mark_map, valid=None, valid_area=None):

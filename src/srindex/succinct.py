@@ -15,6 +15,7 @@ Positions are 1-based throughout: rank1(i) counts ones among positions
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,19 +23,62 @@ WORD = 64
 DEFAULT_BLOCK = 64  # values per block of an Elias-delta stream on disk
 
 
+def _narrowest(codes, bound):
+    """The first array typecode of codes (unsigned, or signed with the sign
+    bit spared) whose items hold bound."""
+    signed = codes.islower()
+    return next(c for c in codes
+                if bound >> 8 * array(c).itemsize - signed == 0)
+
+
+def _zeros(code, size):
+    """size zeros as an array of typecode code, allocated to fit: an array
+    made from bytes reserves a sixteenth more than it holds."""
+    return array(code, [0]) * size
+
+
+def _filled(code, values):
+    """The items of a numpy array as an array of typecode code, which
+    holds them, allocated to fit."""
+    table = _zeros(code, len(values))
+    np.frombuffer(table, dtype=code)[:] = values
+    return table
+
+
 def uint_array(bound, values):
     """values, integers in 0..bound (a sequence or a numpy array), as an
     array of the narrowest unsigned item type that holds bound: 1 to 8
     bytes an item, where a list of ints costs about 36. Raises ValueError
     for a value outside 0..bound."""
-    code = next(c for c in "BHIQ" if bound >> 8 * array(c).itemsize == 0)
+    code = _narrowest("BHIQ", bound)
     vals = np.asarray(values)
     if vals.dtype.kind not in "biu":
         # ints past int64 (which numpy takes as floats), or no values
         vals = np.asarray(values, dtype=object)
     if vals.size and not 0 <= vals.min() <= vals.max() <= bound:
         raise ValueError(f"values outside 0..{bound}")
-    return array(code, vals.astype(code).tobytes())
+    return _filled(code, vals)
+
+
+def int_array(bound, values):
+    """values, a numpy integer array, as an array of the narrowest signed
+    item type that holds +-bound. Raises ValueError for a value past the
+    type's largest value, or its negative."""
+    code = _narrowest("bhiq", bound)
+    end = int(np.iinfo(code).max)
+    if values.size and not -end <= values.min() <= values.max() <= end:
+        raise ValueError(f"values outside -{end}..{end}")
+    return _filled(code, values)
+
+
+def cumulative(counts, total):
+    """0 and the running sums of counts, which end at total, as an array of
+    the narrowest unsigned item type that holds total: the form of every
+    bucket table."""
+    code = _narrowest("BHIQ", total)
+    table = _zeros(code, len(counts) + 1)
+    np.cumsum(counts, dtype=code, out=np.frombuffer(table, dtype=code)[1:])
+    return table
 
 
 def view(table):
@@ -60,15 +104,14 @@ def buckets(values, n):
     part in that code, the table has fewer than 2 * max(len(values), 1)
     + 4 entries, and a bucket holds about one value."""
     shift = low_bits(n, max(len(values), 1))
-    high = view(values).astype(np.uint64) >> np.uint64(shift)
-    counts = np.bincount(high.astype(np.intp),
+    counts = np.bincount((view(values) >> shift).astype(np.intp),
                          minlength=((n + 1) >> shift) + 1)
-    return shift, uint_array(len(values),
-                             np.concatenate(([0], np.cumsum(counts))))
+    return shift, cumulative(counts, len(values))
 
 
 class DenseBitvector:
-    """Plain bitvector: 64-bit words plus a per-word cumulative popcount."""
+    """Plain bitvector: 64-bit words, their popcount, and the per-word
+    cumulative popcount that rank1 reads, built on its first call."""
 
     def __init__(self, bits):
         # bits: a sequence of 0/1 or a numpy array; bit 1 is the lowest
@@ -77,25 +120,20 @@ class DenseBitvector:
         packed = np.packbits(bits, bitorder="little")
         words = np.zeros(-(-bits.size // WORD), dtype="<u8")
         words.view(np.uint8)[:packed.size] = packed
-        self.n = bits.size
-        self.words = words.tolist()
-        self._build_rank()
+        self._hold(words, bits.size)
 
     @classmethod
     def from_words(cls, words, length):
         bv = cls.__new__(cls)
-        bv.n = length
-        bv.words = list(words)
-        bv._build_rank()
+        bv._hold(np.asarray(words, dtype="<u8"), length)
         return bv
 
-    def _build_rank(self):
-        self.cum = [0] * (len(self.words) + 1)
-        c = 0
-        for i, w in enumerate(self.words):
-            c += w.bit_count()
-            self.cum[i + 1] = c
-        self.ones = c
+    def _hold(self, words, n):
+        """Hold n bits from a uint64 array of their words."""
+        self.n = n
+        self.words = words.tolist()
+        self.ones = int(np.bitwise_count(words).sum())
+        self.cum = None
 
     def bits(self):
         """All n bits, bit 1 first, as a numpy array of 0/1."""
@@ -113,6 +151,8 @@ class DenseBitvector:
             return 0
         if i >= self.n:
             return self.ones
+        if self.cum is None:
+            self.cum = [0, *accumulate(w.bit_count() for w in self.words)]
         q, rm = divmod(i, WORD)
         c = self.cum[q]
         if rm:
@@ -142,6 +182,15 @@ class SparseBitvector:
         self.positions = uint_array(length, positions)
         self.ones = len(self.positions)
         self.shift, self.bucket = buckets(self.positions, length)
+
+    def buckets_to_end(self):
+        """(shift, table): the bucket table of the positions and n + 1, as
+        buckets() makes it but at this bitvector's shift. It is this
+        bitvector's own table with n + 1 counted in the last bucket, the
+        only one whose end lies past it."""
+        table = array(_narrowest("BHIQ", self.ones + 1), self.bucket)
+        table[-1] += 1
+        return self.shift, table
 
     def get(self, i):
         k = bisect_left(self.positions, i)

@@ -130,10 +130,14 @@ class TestStats:
             st["memory_bytes_total"] / st["r"])
         assert not {"mark_map", "valid", "valid_area", "removed",
                     "rl.start", "rl.letters"} & set(mem)
-        # 8 bytes or more per mark gap; lim is None at variant 0
-        gaps = toolkit.load_index(idx.read_bytes()).ix.marks.ones + 1
-        assert mem["offs"] >= 8 * gaps
-        assert (mem["lim"] >= 8 * gaps) == (variant == 2)
+        # per mark gap, the bytes of the narrowest signed type that holds
+        # +-(2n + 2); lim is None at variant 0
+        ix = toolkit.load_index(idx.read_bytes()).ix
+        gaps = ix.marks.ones + 1
+        width = next(b for b in (1, 2, 4, 8) if 2 * ix.n + 2 < 1 << 8 * b - 1)
+        assert ix.offs.itemsize == width and mem["offs"] >= width * gaps
+        assert (mem["lim"] >= width * gaps) == (variant == 2) and (
+            ix.lim is None or ix.lim.itemsize == width)
 
 
     def test_index_stats_memory_shared_pair(self, corpus, tmp_path, capsys):

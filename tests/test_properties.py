@@ -4,6 +4,7 @@ and locate exactly what the naive scan finds, a subsampled index's
 checked phi (iphi) must answer as the full index's or not at all, and
 the per-run tables must agree with what they stand in for."""
 
+import random
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -306,3 +307,77 @@ def test_psi_runs_are_bwt_runs_in_lf_order(data, block):
             m - 1 or n for m in ri.first.positions)
         assert list(rc.marks_l.positions) == sorted(
             v or n for v in ri.samples)
+
+
+def unbucketed_step(runs, sp, ep, c):
+    """The backward step as it was before its searches were bucketed: the
+    same body, but each search bisects c's whole stretch of lex_starts,
+    and sp's is bounded by ep's result. The reference for the bucketed
+    step."""
+    starts, lf = runs.lex_starts, runs.lex_img
+    lo = runs.first_run[c] - 1
+    k = bisect_right(starts, ep, lo, runs.first_run[c + 1] - 1)
+    if k == lo:
+        return None
+    first, end = lf[k - 1], lf[k] - 1
+    ep2 = first + ep - starts[k - 1]
+    edge = 0
+    if ep2 > end:
+        ep2 = end
+        if runs.TOEHOLD_AT_EP:
+            edge = starts[k - 1] + end - first
+    k = bisect_right(starts, sp, lo, k)
+    if k > lo:
+        sp2 = lf[k - 1] + sp - starts[k - 1]
+        if sp2 < lf[k]:
+            return sp2, ep2, edge
+        sp2 = lf[k]
+    else:
+        sp2 = lf[lo]
+    if sp2 > ep2:
+        return None
+    return sp2, ep2, edge if runs.TOEHOLD_AT_EP else sp2
+
+
+# every (sp, ep, c) while there are at most this many, else a seeded
+# sample of this many, besides the ends sp = 1 and ep = n for every c
+STEP_CHECKS = 8_000
+
+
+@hypothesis.seed(20261020)
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.example(data=b"a" * 40)                    # one symbol
+@hypothesis.example(data=b"ab" * 30 + b"c")            # c has one run
+@hypothesis.example(data=bytes(range(1, 256)) * 2)     # sigma 256: uint16
+@hypothesis.given(data=st.one_of(TEXTS, SIGMA_TEXTS))
+def test_bucketed_step_matches_unbucketed(data):
+    # the one backward step, whose two searches each bisect one bucket of
+    # c's section of the pair's bucket table, answers as the unbucketed
+    # body does on the built and loaded r-index and r-CSA, with a table
+    # of at most r + sigma + 1 entries
+    text = ingest(data)
+    bundle = build_bundle(text)
+    n = bundle.n
+    ri, rc = build_rindex(bundle), build_rcsa(bundle, 4)
+    loaded = [deserialize(serialize(ix, text.alphabet))[0] for ix in (ri, rc)]
+    all_runs = [ix.rl if ix.DIR < 0 else ix.runs for ix in [ri, rc] + loaded]
+    sigma, r = text.sigma, ri.rl.r
+    ends = [(1, n)] + [(1, x) for x in range(1, n)] + [
+        (x, n) for x in range(2, n + 1)]
+    if n * (n + 1) // 2 * sigma <= STEP_CHECKS:
+        triples = [(sp, ep, c) for sp in range(1, n + 1)
+                   for ep in range(sp, n + 1) for c in range(1, sigma + 1)]
+    else:
+        rng = random.Random(n * 1000 + sigma)
+        triples = [(sp, rng.randint(sp, n), rng.randint(1, sigma))
+                   for sp in (rng.randint(1, n) for _ in range(STEP_CHECKS))]
+        triples += [(sp, ep, c) for sp, ep in ends
+                    for c in rng.sample(range(1, sigma + 1), min(sigma, 8))]
+        triples += [(sp, ep, c) for sp, ep in ((1, n), (1, 1), (n, n))
+                    for c in range(1, sigma + 1)]
+    for runs in all_runs:
+        assert len(runs.lex_bucket) <= r + sigma + 1
+        assert list(runs.lex_bucket) == list(all_runs[0].lex_bucket)
+        for sp, ep, c in triples:
+            assert runs.backward_step(sp, ep, c) == \
+                unbucketed_step(runs, sp, ep, c), (sp, ep, c)

@@ -1,7 +1,9 @@
 import random
+import sys
 from bisect import bisect_right
 
 from conftest import naive_occurrences, random_text, sample_patterns
+from srindex import toolkit
 from srindex.rlbwt import build_rlbwt
 from srindex.textcore import build_bundle, ingest
 
@@ -91,3 +93,22 @@ class TestRandom:
             if e < rl.n:
                 assert bisect_right(rl.starts, e + 1) == p + 1
                 assert b.bwt[e - 1] != b.bwt[e]
+
+
+class TestPairBuckets:
+    def test_canonical_table(self):
+        # abaaba: sigma = 3, r = 5, so shift = bitlen(3 * 7 // 5) = 3 and
+        # each symbol's section has (8 >> 3) + 1 = 2 buckets; $'s run
+        # starts at 5 (bucket 0), a's at 1, 4, 6 (bucket 0), b's at 2
+        _, _, rl = make(T1)
+        assert (rl.lex_shift, rl.lex_width) == (3, 2)
+        assert list(rl.lex_bucket) == [0, 1, 1, 4, 4, 5, 5]
+
+    def test_table_size(self):
+        # at most r + sigma + 1 entries, in the narrowest type for r: on
+        # the baseline corpus (r = 11,306) 2 bytes a run or less
+        data = toolkit.gen_corpus(100_000, 10, 0.001, seed=1005)
+        _, _, rl = make(data)
+        assert len(rl.lex_bucket) <= rl.r + rl.sigma + 1
+        assert rl.lex_bucket.itemsize == 2
+        assert sys.getsizeof(rl.lex_bucket) <= 2 * rl.r

@@ -834,6 +834,20 @@ class TestStats:
         assert toolkit.verify(data, s_values=(4,))[0]
         assert len(calls) == 2
 
+    def test_text_stats_builds_no_psi_runs(self, monkeypatch):
+        # the Psi runs are the BWT runs in LF order: their count is r,
+        # reported without building them
+        from srindex import rcsa
+
+        def fail(*args, **kwargs):
+            raise AssertionError("build_psi_runs called")
+
+        monkeypatch.setattr(rcsa, "build_psi_runs", fail)
+        monkeypatch.setattr(toolkit, "build_psi_runs", fail, raising=False)
+        st = toolkit.text_stats(b"abracadabra" * 20, s_values=(4,))
+        assert st["psi_runs"] == st["r"] == toolkit.build_index(
+            b"abracadabra" * 20, "rlbwt").ix.r
+
     def test_index_stats_fields(self):
         blob = toolkit.build_index(b"abracadabra" * 40, "r-csa",
                                    block=8).serialize()
