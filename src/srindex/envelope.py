@@ -30,9 +30,10 @@ like packed ints of varying width; it is read by one table lookup at
 every bit, which gives where a code starting there would end, one walk
 along those ends (the only step per code, a list index), and one gather
 of the gaps, summed per block from its anchor. INTS and DELTAS decode to
-numpy arrays, which CHECKS compares as a whole; only values wider than
-64 bits, which no index writes, take a big-int path, and only delta codes
-longer than 64 bits a delta_read call each.
+uint64 arrays, which CHECKS compares as a whole. Every packed int fits 64
+bits and every delta code takes at most 64: the header's n lies below
+2**54, so every gap does too. The codecs reject anything wider, in both
+directions.
 
 The load path checks the checksum, that the header fits the kind, that
 the sections are exactly the ones the table names for the kind and
@@ -56,35 +57,40 @@ from .rlbwt import RunLengthBWT
 from .srcsa import SrCsa
 from .srindex import SrIndex
 from . import succinct
-from .succinct import WORD, DenseBitvector, SparseBitvector, delta_append, view
+from .succinct import WORD, DenseBitvector, SparseBitvector, view
 
 WORDS = np.dtype("<u8")  # the payload words of packed ints and bitvectors
 
 MAGIC = b"SRIX"
 FORMAT_VERSION = 1
+# the first gap whose Elias-delta code is longer than 64 bits; the header's
+# n lies below it, so every gap of a text position does too
+GAP_LIMIT = 1 << 54
 
 
 class FormatError(ValueError):
     pass
 
 
+def _uint64(values):
+    """values, ints or a numpy array, as a uint64 array. Raises ValueError
+    for an int that does not fit 64 bits."""
+    try:
+        return np.asarray(values, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("values do not fit 64 bits") from None
+
+
 def pack_ints(values):
     """Fixed-width bit packing; returns bytes (width, count, payload).
-    values is any sequence of non-negative ints, or a numpy array."""
-    try:
-        vals = np.asarray(values, dtype=np.uint64)
-    except OverflowError:                           # wider than 64 bits
-        vals = np.asarray(values, dtype=object)
+    values is any sequence of ints within 0..2**64 - 1, or a numpy array.
+    Raises ValueError for a value past 64 bits."""
+    vals = _uint64(values)
     count = len(vals)
     width = max(int(vals.max()).bit_length(), 1) if count else 1
-    head = struct.pack("<BQ", width, count)
-    if width > 64:
-        # one join and one base-2 parse, linear in the payload; no v1
-        # index writes values this wide
-        bits = "".join(format(v, f"0{width}b") for v in reversed(values))
-        return head + int(bits, 2).to_bytes((len(bits) + 7) // 8, "little")
     # value i is bits [i * width, (i + 1) * width) of the payload
-    return head + _or_bits(vals, _offsets(count, width), width, width * count)
+    return (struct.pack("<BQ", width, count)
+            + _or_bits(vals, _offsets(count, width), width, width * count))
 
 
 def _offsets(count, width):
@@ -125,49 +131,37 @@ def _windows(words, at):
     return words[q] >> sh | words[q + 1] << (64 - sh)
 
 
-def unpack_ints(blob):
-    """pack_ints bytes -> list of the values."""
-    return _ints_array(blob).tolist()
-
-
 def _ints_array(blob):
     """The INTS codec's decoder: pack_ints bytes that fill blob -> array."""
-    values, end = _ints_at(blob, 0, array=True)
+    values, end = _ints_at(blob, 0)
     if end != len(blob):
         raise ValueError("packed ints do not end at their section's end")
     return values
 
 
-def _ints_at(blob, off, array=False):
-    """pack_ints payload at offset off -> (values, offset after it), the
-    values a list, or with array a numpy array (uint64, or object for
-    widths above 64). Raises ValueError on a count the bytes cannot hold,
-    and on bytes pack_ints would not write: stray bits past the last
-    value, or a width wider than the largest value needs."""
+def _ints_at(blob, off):
+    """pack_ints payload at offset off -> (values as a uint64 array,
+    offset after it). Raises ValueError on a width outside 1..64, on a
+    count the bytes cannot hold, and on bytes pack_ints would not write:
+    stray bits past the last value, or a width wider than the largest
+    value needs. The width and count are checked before anything of that
+    count is allocated."""
     width, count = struct.unpack_from("<BQ", blob, off)
+    if not 1 <= width <= 64:
+        raise ValueError(f"packed ints of {width} bits, not 1 to 64")
     nbits = width * count
     nbytes = (nbits + 7) // 8
     end = off + 9 + nbytes
-    if not width or end > len(blob):
-        # checked before anything of that count is allocated
+    if end > len(blob):
         raise ValueError(f"{count} packed ints of {width} bits run past "
                          "their section")
     if nbits % 8 and blob[end - 1] >> nbits % 8:
         raise ValueError("packed ints have stray bits past their last value")
-    if width > 64:
-        # value i is bits [i * width, (i + 1) * width) of the payload, so
-        # it counts back from the end of the payload's base-2 string
-        bits = format(int.from_bytes(blob[off + 9:end], "little"),
-                      f"0{nbits}b")
-        values = np.array([int(bits[j - width:j], 2)
-                           for j in range(nbits, 0, -width)], dtype=object)
-    else:
-        values = (_windows(_words(blob, off + 9, nbytes),
-                           _offsets(count, width))
-                  & np.uint64((1 << width) - 1))
+    values = (_windows(_words(blob, off + 9, nbytes), _offsets(count, width))
+              & np.uint64((1 << width) - 1))
     if width != max(int(values.max()).bit_length() if count else 0, 1):
         raise ValueError("packed ints are wider than their largest value")
-    return (values if array else values.tolist()), end
+    return values, end
 
 
 def _dense_bytes(bv):
@@ -210,7 +204,7 @@ def _sparse_from(blob):
     """Decode _sparse_bytes: the k-th one of the high part, at bit i,
     gives position ((i - k) << low_bits | lows[k]) + 1."""
     n, ones, low_bits = struct.unpack_from("<QQB", blob, 0)
-    lows, off = _ints_at(blob, 17, array=True)
+    lows, off = _ints_at(blob, 17)
     (high_n,) = struct.unpack_from("<Q", blob, off)
     high = np.frombuffer(blob, np.uint8, offset=off + 8)
     if ((low_bits, high_n) != _ef_shape(n, ones)
@@ -246,15 +240,15 @@ def _delta_bytes(values, block):
     """One strictly increasing sequence: its length m, the block size B
     and the bit count of its stream, every B-th value verbatim as an
     anchor (packed ints), then the stream: the gap from each other value
-    to its left neighbour as an Elias-delta code (see
-    succinct.delta_append), the codes end to end."""
-    try:
-        vals = np.asarray(values, dtype=np.uint64)
-    except OverflowError:                           # wider than 64 bits
-        return _delta_bytes_wide(values, block)
+    to its left neighbour as an Elias-delta code, the codes end to end.
+    Raises ValueError for a value past 64 bits, or a gap of GAP_LIMIT or
+    more, whose code would be longer than 64 bits."""
+    vals = _uint64(values)
     one = np.uint64(1)
     row = max(min(block, len(vals)), 1)   # the values of a block in vals
     gaps = np.diff(vals)[np.arange(1, len(vals)) % row != 0]
+    if len(gaps) and gaps.max() >= GAP_LIMIT:
+        raise ValueError("delta gaps reach 2**54")
     L = _bit_length(gaps)
     LL = _bit_length(L)
     # each code as two fields of at most 64 bits: LL - 1 zeros, a one and
@@ -268,22 +262,6 @@ def _delta_bytes(values, block):
     return (struct.pack("<QQQ", len(vals), block, nbits)
             + pack_ints(vals[::row])
             + _or_bits(fields, np.cumsum(widths) - widths, widths, nbits))
-
-
-def _delta_bytes_wide(values, block):
-    """_delta_bytes for values wider than 64 bits, which no index writes:
-    one code at a time, then one join and one base-2 parse."""
-    codes = []                        # each code's bits, high bit first
-    nbits = 0
-    for i in range(1, len(values)):
-        if i % block:
-            code, width = delta_append(0, 0, values[i] - values[i - 1])
-            codes.append(format(code, f"0{width}b"))
-            nbits += width
-    stream = int("0" + "".join(reversed(codes)), 2).to_bytes(
-        (nbits + 7) // 8, "little")
-    return (struct.pack("<QQQ", len(values), block, nbits)
-            + pack_ints(values[::block]) + stream)
 
 
 def _delta_shape(x):
@@ -310,20 +288,19 @@ LEAD_WIDTH = _lead_widths()
 
 
 def _delta_from(blob, block):
-    """Decode _delta_bytes to a numpy array (uint64, or object where the
-    values need more bits). Raises ValueError on parts that do not fit,
-    on a block size other than block, or on values that are not strictly
-    increasing.
+    """Decode _delta_bytes to a uint64 array. Raises ValueError on parts
+    that do not fit, on a block size other than block, on a code longer
+    than 64 bits, or on values that are not strictly increasing.
 
-    The width of a code that fits 64 bits follows from its first LEAD
+    The width of a code of at most 64 bits follows from its first LEAD
     bits, so one table lookup at every bit of the stream gives the end of
     a code that would start there; one walk from bit 0 along those ends
     finds the codes, and their gaps are read from 64-bit windows in one
-    go. A longer code goes through succinct.delta_read."""
+    go."""
     m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
     if B != block:
         raise ValueError(f"delta block size {B} is not the header's {block}")
-    anchors, off = _ints_at(blob, 24, array=True)
+    anchors, off = _ints_at(blob, 24)
     nbytes = len(blob) - off
     if len(anchors) != -(-m // B):
         raise ValueError("delta anchors do not match length and block")
@@ -341,60 +318,41 @@ def _delta_from(blob, block):
     width = LEAD_WIDTH.take((u[:-2] | u[1:-1] << 8 | u[2:] << 16)[:, None]
                             >> np.arange(8, dtype=np.uint32)
                             & (1 << LEAD) - 1).ravel()[:nbits + 1]
-    end = np.arange(nbits + 1, dtype=np.int64)
-    end += width
-    end[width == 0] = -1                        # delta_read's
-    # past nbits: a width is at most 64, so only from the last 64 bits
-    tail = end[-64:]
-    tail[tail > nbits] = -1
+    # the end of the code at each bit, and a sink, nbits + 1, that leads
+    # to itself: a walk that meets a bit where no code of at most 64 bits
+    # starts, or one that would end past nbits, cannot end at nbits
+    sink = nbits + 1
+    end = np.arange(sink + 1, dtype=np.int64)
+    end[:-1] += width
+    end[:-1][width == 0] = sink
+    tail = end[-65:]            # the codes that can end past nbits
+    tail[tail > nbits] = sink
     nxt = memoryview(end)
-    stream = bytes(blob[off:])
-    read = succinct.delta_read        # looked up where a tracer wraps it
     starts = [0] * codes
-    wide = {}                         # code index -> gap, read one by one
     p = 0
     for k in range(codes):
         starts[k] = p
         p = nxt[p]
-        if p < 0:
-            wide[k], p = read(stream, starts[k])
-            if p > nbits:
-                raise ValueError("delta codes do not end at the stream's end")
     if p != nbits:
-        raise ValueError("delta codes do not end at the stream's end")
+        raise ValueError("delta codes of at most 64 bits do not end at the "
+                         "stream's end")
     x = _windows(words, np.fromiter(starts, np.uint64, codes))
     z, L = _delta_shape(x)
     one = np.uint64(1)
     top = one << (L - one)
-    gaps = top | (x >> (2 * z - one)) & (top - one)
-    if wide:
-        if max(wide.values()) >> 64:
-            gaps = gaps.astype(object)
-        gaps[list(wide)] = list(wide.values())
-    # each block is its anchor plus the running sum of its gaps; uint64
-    # sums that wrap around fall within a block, and are redone exactly
+    # each block is its anchor plus the running sum of its gaps, one row
+    # of row values per block
     row = max(min(B, m), 1)
-    values = _block_sums(anchors, gaps, m, row)
-    fell = np.flatnonzero(values[1:] <= values[:-1]) + 1
-    if len(fell) and values.dtype != object and (fell % row).any():
-        values = _block_sums(anchors, gaps, m, row, exact=True)
-        fell = np.flatnonzero(values[1:] <= values[:-1]) + 1
-    # gaps are at least 1, so only a block boundary can fall here
-    if len(fell):
-        raise ValueError("delta block reaches the next anchor")
-    return values
-
-
-def _block_sums(anchors, gaps, m, row, exact=False):
-    """The m values of a delta stream from its anchors and gaps: one row
-    of row values per block, each the running sum of its anchor and its
-    gaps; in uint64, or exact in Python ints."""
-    if exact or object in (anchors.dtype, gaps.dtype):
-        anchors, gaps = anchors.astype(object), gaps.astype(object)
-    steps = np.zeros(len(anchors) * row, dtype=anchors.dtype)
+    steps = np.zeros(len(anchors) * row, dtype=np.uint64)
     steps[::row] = anchors
-    steps[:m][np.arange(m) % row != 0] = gaps
-    return np.cumsum(steps.reshape(-1, row), axis=1).ravel()[:m]
+    steps[:m][np.arange(m) % row != 0] = top | (x >> (2 * z - one)) & (
+        top - one)
+    values = np.cumsum(steps.reshape(-1, row), axis=1).ravel()[:m]
+    # gaps are at least 1, so a value that does not rise is a block that
+    # reaches the next anchor, or a uint64 sum that wrapped past 2**64
+    if (values[1:] <= values[:-1]).any():
+        raise ValueError("delta values do not increase within 64 bits")
+    return values
 
 
 def _deltas_bytes(seqs, head):
@@ -732,10 +690,12 @@ def _open(data):
             f in taken and head[f] < 1 for f in ("s", "block")) or any(
             head[f] for f in ("s", "block", "variant") if f not in taken):
         raise FormatError(f"header parameters do not fit {kind}")
-    if n >= 1 << 62:
-        # the run and phi tables are built with int64 arithmetic on
-        # positions up to 2n, and lim's sentinels lie beyond them
-        raise FormatError("header n does not fit the 64-bit run tables")
+    if n >= GAP_LIMIT:
+        # 2**54 is the first gap whose Elias-delta code is longer than 64
+        # bits; below it, the run and phi tables' int64 arithmetic on
+        # positions up to 2n, and lim's sentinels beyond them, fit too
+        raise FormatError("header n is 2**54 or more: its gaps need "
+                          "delta codes past 64-bit words")
     body_off = 56 + 32 * count
     if body_off > len(data) - 4:
         raise FormatError("section table runs past the envelope")

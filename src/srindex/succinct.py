@@ -5,16 +5,16 @@ that narrow a predecessor search in one of them.
 
 No index holds a DenseBitvector: it is the DENSE codec's value, which the
 loader decodes and the index turns into its own tables (the subsampled
-indexes' validity bits and `removed`). SymbolSequence and
-BlockedDeltaSeq are held by no index either; they stay only because the
-benchmark's tracer wraps their methods.
+indexes' validity bits and `removed`). SymbolSequence, BlockedDeltaSeq
+and delta_read serve no index either; they stay only because the
+benchmark's tracer wraps them.
 
 Positions are 1-based throughout: rank1(i) counts ones among positions
 1..i.
 """
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
@@ -140,11 +140,6 @@ class DenseBitvector:
         return np.unpackbits(np.array(self.words, dtype="<u8").view(np.uint8),
                              count=self.n, bitorder="little")
 
-    def get(self, i):
-        """Bit at 1-based position i."""
-        i -= 1
-        return (self.words[i // WORD] >> (i % WORD)) & 1
-
     def rank1(self, i):
         """Number of ones in positions 1..i (i may be 0)."""
         if i <= 0:
@@ -158,12 +153,6 @@ class DenseBitvector:
         if rm:
             c += (self.words[q] & ((1 << rm) - 1)).bit_count()
         return c
-
-    def rank0(self, i):
-        if i <= 0:
-            return 0
-        i = min(i, self.n)
-        return i - self.rank1(i)
 
     def __len__(self):
         return self.n
@@ -192,10 +181,6 @@ class SparseBitvector:
         table[-1] += 1
         return self.shift, table
 
-    def get(self, i):
-        k = bisect_left(self.positions, i)
-        return 1 if k < self.ones and self.positions[k] == i else 0
-
     def rank1(self, i):
         if i < 1:
             return 0
@@ -214,7 +199,7 @@ class SparseBitvector:
 
 
 class SymbolSequence:
-    """rank/select over a short sequence of small integer symbols, kept as
+    """rank over a short sequence of small integer symbols, kept as
     per-symbol sorted position lists. No index holds one."""
 
     def __init__(self, seq):
@@ -227,84 +212,33 @@ class SymbolSequence:
         pos = self.occ.get(c)
         return bisect_right(pos, i) if pos else 0
 
-    def select(self, c, k):
-        """1-based position of the k-th occurrence of c."""
-        pos = self.occ.get(c)
-        if not pos or not 1 <= k <= len(pos):
-            raise IndexError("select out of range")
-        return pos[k - 1]
 
-
-def delta_append(stream, nbits, value):
-    """Append the Elias-delta code of value >= 1 to stream (LSB-first int).
-
-    Returns (stream, nbits). Code: with L = bitlen(value) and LL = bitlen(L),
-    write LL-1 zeros, a one, the low LL-1 bits of L, then the low L-1 bits
-    of value.
-    """
-    length = value.bit_length()
-    ll = length.bit_length()
-    nbits += ll - 1                       # zeros are implicit
-    stream |= 1 << nbits
-    nbits += 1
-    if ll > 1:
-        stream |= (length & ((1 << (ll - 1)) - 1)) << nbits
-        nbits += ll - 1
-    if length > 1:
-        stream |= (value & ((1 << (length - 1)) - 1)) << nbits
-        nbits += length - 1
-    return stream, nbits
-
-
-DELTA_WINDOW = 8  # bytes delta_read reads first; only longer codes read more
-_from_bytes = int.from_bytes  # one attribute lookup less per decoded code
+DELTA_WINDOW = 9  # bytes that hold a code of 64 bits at any bit offset
 
 
 def delta_read(buf, pos):
-    """Decode one Elias-delta code at bit offset pos of buf, the bytes of
-    an LSB-first stream. Returns (value, pos after the code).
+    """Decode one Elias-delta code of at most 64 bits at bit offset pos of
+    buf, the bytes of an LSB-first stream. Returns (value, pos after the
+    code).
 
-    Reads DELTA_WINDOW bytes, and after them only the bytes of a code too
-    long for that window, so the cost depends neither on pos nor on the
-    length of buf. Raises ValueError for a code that runs past the end.
-    The envelope's delta decoder reads codes of up to 64 bits as arrays,
-    and calls this only for longer ones.
+    The code of value v, with L = bitlen(v) and LL = bitlen(L), is LL - 1
+    zeros, a one, the low LL - 1 bits of L, then the low L - 1 bits of v.
+    Reads DELTA_WINDOW bytes, so the cost depends neither on pos nor on
+    the length of buf. Raises ValueError for a longer code, or one that
+    runs past the end. No load or query calls this: the envelope's delta
+    decoder reads a stream's codes as arrays.
     """
     q = pos >> 3
-    x = _from_bytes(buf[q:q + DELTA_WINDOW], "little") >> (pos & 7)
+    x = int.from_bytes(buf[q:q + DELTA_WINDOW], "little") >> (pos & 7)
     low = x & -x                          # the code's first one
     z = low.bit_length()                  # zeros before it, plus one
     length = low | (x >> z) & (low - 1)
     end = pos + 2 * z - 2 + length
-    if end > 8 * (q + DELTA_WINDOW) or end > 8 * len(buf) or not x:
-        return _delta_read_long(buf, pos, x, z)
+    if not x or end - pos > 64 or end > 8 * len(buf):
+        raise ValueError(f"no delta code of at most 64 bits at bit {pos} "
+                         "within the bytes")
     top = 1 << (length - 1)
     return top | (x >> (2 * z - 1)) & (top - 1), end
-
-
-def _delta_read_long(buf, pos, x, z):
-    """delta_read for a code that does not fit its window or runs past the
-    end of buf; x and z are what delta_read took from the window."""
-    if not x:
-        # no one in the window: past the end, or a value of 2**57+ bits
-        raise ValueError(f"no delta code at bit {pos}")
-    if 2 * z - 1 > 8 * DELTA_WINDOW - (pos & 7):
-        x = _bits(buf, pos, 2 * z - 1)
-    length = 1 << (z - 1) | (x >> z) & ((1 << (z - 1)) - 1)
-    n = 2 * z - 2 + length
-    # the bits first: a length that the bytes cannot back raises here,
-    # before anything of that length is allocated
-    bits = _bits(buf, pos, n)
-    top = 1 << (length - 1)
-    return top | (bits >> (2 * z - 1)) & (top - 1), pos + n
-
-
-def _bits(buf, pos, count):
-    """Bits pos .. pos + count - 1 of buf as the low bits of an int."""
-    if pos + count > 8 * len(buf):
-        raise ValueError(f"delta code at bit {pos} runs past the end")
-    return int.from_bytes(buf[pos >> 3:(pos + count + 7) >> 3],
-                          "little") >> (pos & 7)
 
 
 class BlockedDeltaSeq:

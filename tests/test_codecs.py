@@ -6,29 +6,35 @@ every single-byte mutation of them, the array decoders must return the
 same values, or raise the same exception with the same message.
 
 ref_delta_bytes and ref_delta_from code one Elias-delta gap at a time,
-with succinct.delta_append and succinct.delta_read. The array delta codec
-must write the same bytes, and read the same values from them; a mutated
+with delta_append and succinct.delta_read. The array delta codec must
+write the same bytes, and read the same values from them; a mutated
 stream it must reject, or read as the reference does.
+
+Both reject what does not fit 64 bits: a packed int, a delta code, or a
+value summed from its gaps.
 """
 
 import random
 import struct
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
-from srindex.envelope import (FormatError, _delta_bytes, _delta_from,
-                              _ef_shape, _ints_at, _sparse_bytes,
+from srindex.envelope import (GAP_LIMIT, FormatError, _delta_bytes,
+                              _delta_from, _ef_shape, _ints_at, _sparse_bytes,
                               _sparse_from, pack_ints)
-from srindex.succinct import SparseBitvector, delta_append, delta_read
+from srindex.succinct import SparseBitvector, delta_read
 
 
 def ref_ints_at(blob, off):
     """_ints_at, one string slice and base-2 parse per value."""
     width, count = struct.unpack_from("<BQ", blob, off)
+    if not 1 <= width <= 64:
+        raise ValueError(f"packed ints of {width} bits, not 1 to 64")
     nbits = width * count
     end = off + 9 + (nbits + 7) // 8
-    if not width or end > len(blob):
+    if end > len(blob):
         raise ValueError(f"{count} packed ints of {width} bits run past "
                          "their section")
     acc = int.from_bytes(blob[off + 9:end], "little")
@@ -70,6 +76,28 @@ def ref_sparse_from(blob):
     return positions, n
 
 
+def delta_append(stream, nbits, value):
+    """Append the Elias-delta code of value >= 1 to stream (LSB-first int).
+
+    Returns (stream, nbits). Code: with L = bitlen(value) and LL = bitlen(L),
+    write LL-1 zeros, a one, the low LL-1 bits of L, then the low L-1 bits
+    of value. Any value: the reference writer's codes may be longer than
+    the 64 bits the format allows.
+    """
+    length = value.bit_length()
+    ll = length.bit_length()
+    nbits += ll - 1                       # zeros are implicit
+    stream |= 1 << nbits
+    nbits += 1
+    if ll > 1:
+        stream |= (length & ((1 << (ll - 1)) - 1)) << nbits
+        nbits += ll - 1
+    if length > 1:
+        stream |= (value & ((1 << (length - 1)) - 1)) << nbits
+        nbits += length - 1
+    return stream, nbits
+
+
 def ref_delta_bytes(values, block):
     """_delta_bytes, one delta_append and one base-2 string per code."""
     codes = []
@@ -86,7 +114,8 @@ def ref_delta_bytes(values, block):
 
 
 def ref_delta_from(blob, block):
-    """_delta_from, one delta_read per code."""
+    """_delta_from, one delta_read per code, in Python ints: a value past
+    64 bits is rejected as the uint64 sum that wraps there is."""
     m, B, nbits = struct.unpack_from("<QQQ", blob, 0)
     if B != block:
         raise ValueError(f"delta block size {B} is not the header's {block}")
@@ -105,10 +134,11 @@ def ref_delta_from(blob, block):
             g, pos = delta_read(stream, pos)
             v += g
             values.append(v)
-        if k + 1 < len(anchors) and v >= anchors[k + 1]:
-            raise ValueError("delta block reaches the next anchor")
+        if v >> 64 or k + 1 < len(anchors) and v >= anchors[k + 1]:
+            raise ValueError("delta values do not increase within 64 bits")
     if pos != nbits:
-        raise ValueError("delta codes do not end at the stream's end")
+        raise ValueError("delta codes of at most 64 bits do not end at the "
+                         "stream's end")
     return values
 
 
@@ -129,15 +159,21 @@ def delta_values(rng, m, top):
 
 def delta_payloads(rng):
     """(block, _delta_bytes payload, values) for B in 1, 2, 4, 64 and past
-    m, m in 1, B and B + 1 and more; gaps up to 2**62, whose codes take up
-    to 75 bits, and below 2**40, which fit a 64-bit word."""
+    m, m in 1, B and B + 1 and more; gaps below 2**54, whose codes take up
+    to 64 bits, and below 2**40."""
     for B in (1, 2, 4, 64, 1000):
         for m in (1, 2, B, B + 1, 2 * B + 3, rng.randrange(1, 400)):
-            for top in (2**40, 2**62):
+            for top in (2**40, GAP_LIMIT - 1):
                 if B == 1000 and m > 400:
                     continue
                 vals = delta_values(rng, m, top)
                 yield B, _delta_bytes(vals, B), vals
+
+
+def ints_parts(blob, off):
+    """_ints_at(blob, off) as ref_ints_at returns it."""
+    values, end = _ints_at(blob, off)
+    return values.tolist(), end
 
 
 def sparse_parts(blob):
@@ -201,10 +237,8 @@ class TestAgainstReference:
         for off, blob in ints_payloads(rng):
             for b in [blob, *mutations(rng, blob, 4)]:
                 want = outcome(lambda x: ref_ints_at(x, off), b)
-                got = outcome(lambda x: _ints_at(x, off), b)
+                got = outcome(lambda x: ints_parts(x, off), b)
                 assert got == want, (b.hex(), off)
-                if isinstance(got[0], list):
-                    assert all(type(v) is int for v in got[0])
 
     def test_elias_fano(self):
         rng = random.Random(71)
@@ -229,14 +263,12 @@ class TestAgainstReference:
 class TestDeltaAgainstReference:
     def test_same_bytes_and_values(self):
         rng = random.Random(72)
-        longest = straddled = wide = 0
+        longest = straddled = 0
         for B, blob, vals in delta_payloads(rng):
             assert blob == ref_delta_bytes(vals, B)
             got = _delta_from(blob, B)
             assert got.tolist() == vals == ref_delta_from(blob, B)
-            # uint64 where the values fit it
-            assert (got.dtype == object) == (max(vals) >= 2**64)
-            wide += got.dtype == object
+            assert got.dtype == np.uint64
             at = 0
             for i in range(1, len(vals)):
                 if i % B:
@@ -244,7 +276,7 @@ class TestDeltaAgainstReference:
                     longest = max(longest, bits)
                     straddled += at // 64 != (at + bits - 1) // 64
                     at += bits
-        assert longest > 64 and straddled and wide
+        assert longest == 64 and straddled
 
     def test_mutations_rejected_or_read_alike(self):
         rng = random.Random(73)
@@ -261,14 +293,43 @@ class TestDeltaAgainstReference:
                     read += 1
         assert read     # some mutations still make a valid stream
 
-    def test_wrapping_sums_are_exact(self):
-        # values past 2**64 with gaps that fit it: the uint64 running sums
-        # wrap inside a block, and are redone in Python ints
-        vals = [2**64 - 5, 2**64 - 1, 2**64 + 7, 2**65, 2**65 + 1]
-        for B in (1, 2, 4, 64):
-            blob = _delta_bytes(vals, B)
-            assert blob == ref_delta_bytes(vals, B)
-            assert _delta_from(blob, B).tolist() == vals
+    def test_wrapped_block_rejected(self):
+        # an anchor that fits 64 bits, with gaps that run its block past
+        # 2**64: the uint64 running sums wrap inside the block
+        vals = [2**64 - 5, 2**64 - 1, 2**64 + 7, 2**64 + 8]
+        for B in (4, 64):
+            with pytest.raises(ValueError, match="fit 64 bits"):
+                _delta_bytes(vals, B)
+            blob = ref_delta_bytes(vals, B)
+            want = outcome(lambda x: ref_delta_from(x, B), blob)
+            assert want == (ValueError, "delta values do not increase "
+                            "within 64 bits")
+            assert outcome(lambda x: _delta_from(x, B).tolist(), blob) == want
+
+    def test_longest_code_roundtrip(self):
+        # a gap of 2**54 - 1, whose code takes all 64 bits, after start
+        # one-bit codes, so that it starts at every offset in a word
+        assert code_bits(GAP_LIMIT - 1) == 64
+        for start in range(64):
+            vals = list(accumulate([1] * start + [GAP_LIMIT - 1, 1],
+                                   initial=5))
+            blob = _delta_bytes(vals, 1000)
+            assert blob == ref_delta_bytes(vals, 1000)
+            assert _delta_from(blob, 1000).tolist() == vals == \
+                ref_delta_from(blob, 1000)
+
+    def test_gap_past_64_bit_codes_rejected(self):
+        # a gap of 2**54 takes a 65-bit code: the writer refuses it, and
+        # the reader refuses the code that delta_append writes for it
+        assert code_bits(GAP_LIMIT) == 65
+        for start in range(64):
+            vals = list(accumulate([1] * start + [GAP_LIMIT, 1], initial=5))
+            with pytest.raises(ValueError, match="2\\*\\*54"):
+                _delta_bytes(vals, 1000)
+            blob = ref_delta_bytes(vals, 1000)
+            for decode in (_delta_from, ref_delta_from):
+                with pytest.raises(ValueError, match="at most 64 bits"):
+                    decode(blob, 1000)
 
 
 class TestEdges:
@@ -303,6 +364,7 @@ class TestEdges:
         blob = _sparse_bytes(SparseBitvector(positions, n))
         low_bits = blob[16]
         lows, off = _ints_at(blob, 17)
+        lows = lows.tolist()
         wide = pack_ints([lows[0] | 1 << low_bits] + lows[1:])
         bad = blob[:17] + wide + blob[off:]
         took = ref_sparse_from(bad)
@@ -310,3 +372,13 @@ class TestEdges:
         assert _sparse_bytes(SparseBitvector(*took)) != bad
         with pytest.raises(FormatError, match="parts do not fit"):
             _sparse_from(bad)
+
+    def test_width_past_64_rejected(self):
+        # a value of 65 bits: not written, and not read from bytes that
+        # pack it at that width
+        with pytest.raises(ValueError, match="fit 64 bits"):
+            pack_ints([1, 2**64])
+        blob = struct.pack("<BQ", 65, 1) + (2**64).to_bytes(9, "little")
+        for decode in (_ints_at, ref_ints_at):
+            with pytest.raises(ValueError, match="65 bits, not 1 to 64"):
+                decode(blob, 0)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import naive_occurrences, random_text, sample_patterns
+from test_codecs import delta_append
 from srindex import envelope, toolkit
-from srindex.envelope import DENSE, INTS, SPARSE
-from srindex.succinct import DenseBitvector, SparseBitvector, delta_append
+from srindex.envelope import DENSE, GAP_LIMIT, INTS, SPARSE
+from srindex.succinct import DenseBitvector, SparseBitvector
 from srindex.textcore import ingest, oracle_search
 
 ALL_BUILDS = [
@@ -135,7 +136,8 @@ def delta_fields(payload):
         (ln,) = struct.unpack_from("<Q", payload, off)
         blob = payload[off + 8:off + 8 + ln]
         samples, at = envelope._ints_at(blob, 24)
-        out.append([*struct.unpack_from("<QQQ", blob, 0), samples, blob[at:]])
+        out.append([*struct.unpack_from("<QQQ", blob, 0), samples.tolist(),
+                    blob[at:]])
         off += 8 + ln
     return out
 
@@ -188,7 +190,7 @@ def raise_d_tail(blob):
 
 @on_bytes
 def swap_i_psi(blob):
-    i_psi = envelope.unpack_ints(envelope._open(blob)[2]["i_psi"])
+    i_psi = envelope._ints_array(envelope._open(blob)[2]["i_psi"]).tolist()
     i_psi[1], i_psi[2] = i_psi[2], i_psi[1]
     return reseal(blob, "i_psi", envelope.pack_ints(i_psi))
 
@@ -213,6 +215,12 @@ def or_fold_pack(values, width=None):
         pos += width
     return (struct.pack("<BQ", width, len(values))
             + acc.to_bytes((pos + 7) // 8, "little"))
+
+
+# INTS with its values written by the OR-fold, which packs values of any
+# width, also past the 64 bits pack_ints takes
+WIDE_INTS = (lambda values, head: or_fold_pack(values), INTS[1])
+PAST_64_BITS = "71 bits, not 1 to 64"  # the width of 2**70
 
 
 def ef_payload(positions, n, low_bits, high_n_off=0):
@@ -557,24 +565,26 @@ class TestEnvelope:
         assert peak < 10**6
 
     @pytest.mark.parametrize("kind", toolkit.SUBSAMPLED_KINDS)
-    @pytest.mark.parametrize("area", [
-        lambda n: 0, lambda n: n + 1, lambda n: 2**62, lambda n: 2**70,
+    @pytest.mark.parametrize("area,match", [
+        (lambda n: 0, None), (lambda n: n + 1, None),
+        (lambda n: 2**62, None), (lambda n: 2**70, PAST_64_BITS),
     ], ids=["zero", "n+1", "2to62", "2to70"])
-    def test_validity_areas_past_their_gaps_rejected(self, kind, area):
+    def test_validity_areas_past_their_gaps_rejected(self, kind, area,
+                                                     match):
         # every variant-2 validity area set past its gap: before the areas
         # were range-checked, the three large values loaded, serialized
         # back to the same bytes and then located 14 (sr-index) or 13
         # (sr-csa) of this text's 91 distinct substrings of length 1, 2,
-        # 3, 5 and 8 wrongly
+        # 3, 5 and 8 wrongly; areas of 2**70 are refused by their width
         rng = random.Random(3)
         data = bytes(rng.choice(b"ab") for _ in range(60)) * 3
         blob = toolkit.build_index(data, kind, s=4, variant=2,
                                    block=4).serialize()
-        bad = edit_section("valid_area", INTS, lambda t, h: [
+        bad = edit_section("valid_area", WIDE_INTS, lambda t, h: [
             area(h["n"])] * len(t))(blob)
         assert bad != blob
-        with pytest.raises(envelope.FormatError,
-                           match="validity areas reach past their gaps"):
+        with pytest.raises(envelope.FormatError, match=match
+                           or "validity areas reach past their gaps"):
             toolkit.load_index(bad)
 
     @pytest.mark.parametrize("change", [
@@ -592,18 +602,19 @@ class TestEnvelope:
         with pytest.raises(envelope.FormatError, match="alphabet"):
             toolkit.load_index(bad)
 
-    @pytest.mark.parametrize("change", [
-        lambda C: [3] + C[1:],                     # C[0] is not 0
-        lambda C: C[:3] + [C[2] - 1] + C[4:],      # C falls
-        lambda C: C[:2] + [2**70] + C[3:],         # past n, and 70 bits
+    @pytest.mark.parametrize("change,match", [
+        (lambda C: [3] + C[1:], "C table"),                 # C[0] is not 0
+        (lambda C: C[:3] + [C[2] - 1] + C[4:], "C table"),  # C falls
+        (lambda C: C[:2] + [2**70] + C[3:], PAST_64_BITS),  # 71 bits
     ], ids=["first-not-0", "falls", "2to70"])
-    def test_c_table_out_of_order_rejected(self, change):
+    def test_c_table_out_of_order_rejected(self, change, match):
         # C counts the symbols smaller than c: a C[0] of 3 used to load,
         # a second envelope for the same index
         blob = toolkit.build_index(b"abracadabra" * 5, "r-csa",
                                    block=4).serialize()
-        bad = edit_section("c_table", INTS, lambda C, h: change(C))(blob)
-        with pytest.raises(envelope.FormatError, match="C table"):
+        bad = edit_section("c_table", WIDE_INTS,
+                           lambda C, h: change(C))(blob)
+        with pytest.raises(envelope.FormatError, match=match):
             toolkit.load_index(bad)
 
     @pytest.mark.parametrize("kind", toolkit.KINDS)
@@ -630,7 +641,7 @@ class TestEnvelope:
         ("r-index", on_section("alphabet", lambda p: p[:-1]
                                + bytes([p[-1] | 0x80])), "stray bits"),
         ("r-csa", on_section("i_psi", lambda p: or_fold_pack(
-            envelope.unpack_ints(p), p[0] + 1)), "wider"),
+            envelope._ints_array(p).tolist(), p[0] + 1)), "wider"),
         ("r-index", start_low_bits(-1), "parts do not fit"),
         ("r-index", start_low_bits(0, high_n_off=1), "parts do not fit"),
         ("r-csa", on_section("psi_heads", heads_stray_bit), "its bits"),
@@ -666,6 +677,22 @@ class TestEnvelope:
             with pytest.raises(envelope.FormatError, match="64-bit"):
                 toolkit.load_index(bad)
 
+    def test_text_length_cap(self):
+        # n = 2**54 is the first text with a gap whose delta code is
+        # longer than 64 bits: rejected by the header's cap, while one
+        # less passes it
+        blob = toolkit.build_index(b"abracadabra", "rlbwt").serialize()
+        for n in (GAP_LIMIT, GAP_LIMIT - 1):
+            bad = edit_section("start", SPARSE, lambda bv, h: SparseBitvector(
+                bv.positions, n))(blob)
+            bad = resealed(bad[:12] + struct.pack("<Q", n) + bad[20:])
+            try:
+                toolkit.load_index(bad)
+            except envelope.FormatError as exc:
+                assert ("2**54" in str(exc)) == (n == GAP_LIMIT), exc
+            else:
+                assert n < GAP_LIMIT
+
     def test_packed_ints_match_or_fold(self):
         rng = random.Random(64)
         for width in range(1, 71):
@@ -674,9 +701,18 @@ class TestEnvelope:
                 values = [rng.getrandbits(width) for _ in range(count)]
                 if values:
                     values[rng.randrange(count)] |= 1 << (width - 1)
+                if width > 64:
+                    # past 64 bits: neither written nor read
+                    if values:
+                        with pytest.raises(ValueError, match="64 bits"):
+                            envelope.pack_ints(values)
+                    with pytest.raises(ValueError, match="not 1 to 64"):
+                        envelope._ints_array(or_fold_pack(values, width))
+                    continue
                 blob = envelope.pack_ints(values)
                 assert blob == or_fold_pack(values), (width, count)
-                assert envelope.unpack_ints(blob) == values, (width, count)
+                assert envelope._ints_array(blob).tolist() == values, (
+                    width, count)
 
     def test_locating_counting_split(self):
         blob = toolkit.build_index(b"abracadabra" * 30, "sr-index",
