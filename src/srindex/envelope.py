@@ -165,7 +165,7 @@ def _ints_at(blob, off):
 
 
 def _dense_bytes(bv):
-    return struct.pack("<Q", bv.n) + np.array(bv.words, dtype=WORDS).tobytes()
+    return struct.pack("<Q", bv.n) + bv.words.tobytes()
 
 
 def _dense_from(blob):
@@ -540,6 +540,13 @@ CHECKS = [
     (("start", "letters"), lambda v, h: v["start"].n == h["n"]
      and v["start"].ones == len(v["letters"]) == h["r"],
      "run table does not match header"),
+    # a BWT holds the terminator once, so one run of it, one long, and its
+    # runs are maximal: no two side by side share a letter
+    (("start", "letters"), lambda v, h: np.diff(
+        view(v["start"].positions).astype(np.int64), append=h["n"] + 1)[
+        v["letters"] == 1].tolist() == [1]
+     and not (v["letters"][1:] == v["letters"][:-1]).any(),
+     "runs are not those of a BWT"),
     _spans_text("first"),
     _spans_text("marks"),
     _spans_text("marks_l"),
@@ -554,6 +561,11 @@ CHECKS = [
      and (v["i_psi"][1:] > v["i_psi"][:-1]).all()
      and v["i_psi"][-1] <= h["n"],
      "i_psi is not increasing from 1 within the text"),
+    # Psi runs never cross a block, so each block's first position starts one
+    (("c_table", "i_psi"), lambda v, h: np.array_equal(v["i_psi"].take(
+        np.searchsorted(v["i_psi"], v["c_table"][1:-1] + 1), mode="clip"),
+        v["c_table"][1:-1] + 1),
+     "a symbol's block does not start a Psi run"),
     (("c_table", "i_psi", "psi_heads", "psi_tails"), _runs_per_symbol,
      "psi run streams do not match run count"),
     # each delta stream is strictly increasing (its decoder checks it), so

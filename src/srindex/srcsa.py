@@ -58,5 +58,4 @@ def build_srcsa(bundle, s, variant=0, block=DEFAULT_BLOCK):
 
 def subsample_rcsa(rcsa, s, variant=0):
     """Build the subsampled index from a full one."""
-    return SrCsa(rcsa.runs, s, variant,
-                 *SrCsa._parts(rcsa, rcsa.marks_l, s, variant))
+    return SrCsa(rcsa.runs, s, variant, *SrCsa._parts(rcsa, s, variant))

@@ -42,12 +42,12 @@ only in direction. SrIndex walks LF, samples run ends, resolves a range
 right to left and reuses phi; SrCsa walks Psi, samples run heads, resolves
 left to right and reuses inverse phi. Everything else lives in Subsampled:
 the toehold recovery walk, the range resolver behind locate, phi and its
-tables, and the build step, where the Psi side's sweep and validity data
+tables, and the build step, array work over the full index's own tables
+but for the sweep's loop, where the Psi side's sweep and validity data
 are the BWT side's on mirrored (negated) text positions.
 """
 
 from bisect import bisect_right
-from itertools import accumulate
 
 import numpy as np
 
@@ -211,39 +211,35 @@ class Subsampled:
         return self._per_mark(view(self.lim)).astype(np.int64)
 
     @classmethod
-    def _parts(cls, full, marks, s, variant):
-        """The build step of both sides, from a full index (nothing
-        removed) and its marks: there run q's sample is samples_sub[q-1],
-        and the k-th mark pairs with run mark_map[k]'s sample. The Psi side
-        (DIR = +1) runs the BWT side's sweep and validity rules on negated
-        text positions. Returns the constructor arguments (removed,
-        samples_sub, marks, mark_map, valid, valid_area).
-        """
-        if 0 in full.slot[1:]:
+    def _parts(cls, full, s, variant):
+        """The build step of both sides, as array work over a full index
+        (nothing removed), where run q's sample is samples_sub[q-1] and
+        the k-th mark pairs with run mark_map[k]'s. One isin finds the
+        sweep's dropped samples, one mask the marks they pair with, and
+        one cumsum a kept mark's new slot. The Psi side (DIR = +1) runs
+        the BWT side's sweep and validity rules on negated positions.
+        Returns the constructor arguments (removed, samples_sub, marks,
+        mark_map, valid, valid_area)."""
+        if not view(full.slot)[1:].all():
             raise ValueError("only a full index can be subsampled")
-        samples, n, sign = full.samples_sub, full.n, -cls.DIR
-        _, dropped = subsample(sorted(sign * v for v in samples), s)
-        gone = [1 if sign * v in dropped else 0 for v in samples]
-        gone_pfx = list(accumulate(gone, initial=0))
-        kept, lost = [], []
-        for pos, q in zip(marks.positions, full.mark_map):
-            if gone[q - 1]:
-                lost.append(sign * pos)
-            else:
-                kept.append((pos, q - gone_pfx[q]))
+        n, sign = full.n, -cls.DIR
+        samples = view(full.samples_sub)
+        signed = sign * samples.astype(np.int64)
+        _, dropped = subsample(np.sort(signed).tolist(), s)
+        gone = np.isin(signed, np.fromiter(dropped, np.int64, len(dropped)))
+        q = full.mark_map_array - 1
+        lost = gone[q]
+        pos = view(full.marks.positions).astype(np.int64)
         valid = valid_area = None
         if variant:
-            bits, areas = _validity(sorted(sign * p for p, _ in kept),
-                                    sorted(lost), n)
-            if sign < 0:
-                bits.reverse()
-                areas.reverse()
-            valid = DenseBitvector(bits)
-            valid_area = areas if variant == 2 else None
-        return (DenseBitvector(gone),
-                [v for v, bit in zip(samples, gone) if not bit],
-                SparseBitvector([p for p, _ in kept], n),
-                [slot for _, slot in kept], valid, valid_area)
+            # the Psi side's marks, negated, are sorted when reversed
+            ok, areas = _validity(sign * pos[~lost][::sign],
+                                  sign * pos[lost][::sign], n)
+            valid = DenseBitvector(ok[::sign])
+            valid_area = areas[::sign] if variant == 2 else None
+        return (DenseBitvector(gone), samples[~gone],
+                SparseBitvector(pos[~lost], n), np.cumsum(~gone)[q[~lost]],
+                valid, valid_area)
 
     def count(self, syms):
         return self._direction()[0].count(syms)
@@ -372,25 +368,16 @@ class Subsampled:
         return out
 
 
-def _validity(ms, lost, n):
-    """Per gap after each kept mark (cyclically): bit 1 when no removed
-    mark lies in it, else bit 0 and the distance to the first one."""
-    bits, areas = [], []
-    x = len(ms)
-    for g in range(x):
-        lo = ms[g]
-        hi = ms[g + 1] if g + 1 < x else ms[0] + n
-        i0 = bisect_right(lost, lo)
-        if i0 < len(lost) and lost[i0] < hi:
-            first = lost[i0]
-        elif g + 1 == x and lost and lost[0] + n < hi:
-            first = lost[0] + n
-        else:
-            bits.append(1)
-            continue
-        bits.append(0)
-        areas.append(first - lo)
-    return bits, areas
+def _validity(kept, lost, n):
+    """Per gap after each kept mark, cyclically: True when no lost mark
+    lies in it, and for the others the distance to the first one. kept
+    (never empty) and lost are sorted, disjoint int64 arrays. The last
+    gap wraps across n, so the first lost mark, or with none the first
+    kept one, is searched for n further on too."""
+    ahead = np.append(lost, np.append(lost, kept)[0] + n)
+    first = ahead[np.searchsorted(ahead, kept, side="right")]
+    ok = first >= np.append(kept[1:], kept[0] + n)
+    return ok, (first - kept)[~ok]
 
 
 class SrIndex(Subsampled):
@@ -422,4 +409,4 @@ def build_srindex(bundle, s, variant=0):
 def subsample_rindex(rindex, s, variant=0):
     """Build the subsampled index from a full one."""
     return SrIndex(rindex.rl, s, variant, rindex.sa_last,
-                   *SrIndex._parts(rindex, rindex.marks, s, variant))
+                   *SrIndex._parts(rindex, s, variant))

@@ -15,7 +15,6 @@ Positions are 1-based throughout: rank1(i) counts ones among positions
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
 
 import numpy as np
 
@@ -110,8 +109,8 @@ def buckets(values, n):
 
 
 class DenseBitvector:
-    """Plain bitvector: 64-bit words, their popcount, and the per-word
-    cumulative popcount that rank1 reads, built on its first call."""
+    """Plain bitvector: its 64-bit words in a uint64 array, their popcount,
+    and the per-word cumulative popcount rank1 reads, built on first call."""
 
     def __init__(self, bits):
         # bits: a sequence of 0/1 or a numpy array; bit 1 is the lowest
@@ -131,14 +130,14 @@ class DenseBitvector:
     def _hold(self, words, n):
         """Hold n bits from a uint64 array of their words."""
         self.n = n
-        self.words = words.tolist()
+        self.words = words
         self.ones = int(np.bitwise_count(words).sum())
         self.cum = None
 
     def bits(self):
         """All n bits, bit 1 first, as a numpy array of 0/1."""
-        return np.unpackbits(np.array(self.words, dtype="<u8").view(np.uint8),
-                             count=self.n, bitorder="little")
+        return np.unpackbits(self.words.view(np.uint8), count=self.n,
+                             bitorder="little")
 
     def rank1(self, i):
         """Number of ones in positions 1..i (i may be 0)."""
@@ -147,11 +146,11 @@ class DenseBitvector:
         if i >= self.n:
             return self.ones
         if self.cum is None:
-            self.cum = [0, *accumulate(w.bit_count() for w in self.words)]
+            self.cum = [0, *np.cumsum(np.bitwise_count(self.words)).tolist()]
         q, rm = divmod(i, WORD)
         c = self.cum[q]
         if rm:
-            c += (self.words[q] & ((1 << rm) - 1)).bit_count()
+            c += (int(self.words[q]) & ((1 << rm) - 1)).bit_count()
         return c
 
     def __len__(self):

@@ -105,6 +105,8 @@ def gen_corpus(base_size=100_000, copies=10, mutation=0.001, seed=0,
         raise ValueError("base size and copies must be at least 1")
     if not 0 <= mutation <= 1:
         raise ValueError("mutation must lie in [0, 1]")
+    if not alphabet or 0 in bytes(alphabet):
+        raise ValueError(f"alphabet {bytes(alphabet)!r}: empty or with byte 0")
 
     rng = np.random.default_rng(seed)
     alpha = np.frombuffer(bytes(alphabet), dtype=np.uint8)

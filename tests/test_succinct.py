@@ -55,6 +55,19 @@ class TestDenseBitvector:
             sampled = sorted(rng.sample(range(1, n + 1), 80))
             check_bitvector(bv, bits, positions=sampled)
 
+    def test_words_held_as_an_array(self):
+        # built or decoded from words, the bitvector holds them as the one
+        # uint64 array bits() and the envelope read, with no list copy
+        rng = random.Random(3)
+        bits = random_bits(rng, 300, 0.3)
+        for bv in (DenseBitvector(bits),
+                   DenseBitvector.from_words(DenseBitvector(bits).words,
+                                             300)):
+            assert isinstance(bv.words, np.ndarray)
+            assert bv.words.dtype == np.dtype("<u8")
+            assert bv.bits().tolist() == bits
+            check_bitvector(bv, bits)
+
 
 class TestSparseBitvector:
     def test_against_naive(self):

@@ -617,6 +617,40 @@ class TestEnvelope:
         with pytest.raises(envelope.FormatError, match=match):
             toolkit.load_index(bad)
 
+    # b"abracadabra" has letters [2, 6, 5, 1, 6, 4, 2, 3] and run starts
+    # [1, 2, 3, 4, 5, 6, 7, 11] (n = 12)
+    @pytest.mark.parametrize("kind", ["rlbwt", "r-index", "sr-index"])
+    @pytest.mark.parametrize("edit", [
+        edit_section("letters", INTS, lambda t, h: t[:4] + [1] + t[5:]),
+        edit_section("letters", INTS, lambda t, h: t[:3] + [3] + t[4:]),
+        edit_section("letters", INTS, lambda t, h: t[:5] + [6] + t[6:]),
+        # the terminator's run made two long
+        edit_section("start", SPARSE, lambda bv, h: SparseBitvector(
+            [1, 2, 3, 4, 6, 7, 8, 11], bv.n)),
+    ], ids=["two-terminators", "no-terminator", "split-run",
+            "long-terminator"])
+    def test_runs_not_of_a_bwt_rejected(self, kind, edit):
+        # letters with a second terminator run next to the first used to
+        # load and answer count(b"abra") = 0, where the text holds 2
+        blob = toolkit.build_index(b"abracadabra", kind,
+                                   s=2 if kind == "sr-index" else None,
+                                   variant=0).serialize()
+        with pytest.raises(envelope.FormatError, match="runs are not"):
+            toolkit.load_index(edit(blob))
+
+    @pytest.mark.parametrize("kind", ["r-csa", "sr-csa"])
+    def test_block_starts_not_psi_runs_rejected(self, kind):
+        # C of b"abracadabra" is [0, 0, 1, 6, 8, 9, 10, 12]: with C[3] = 4
+        # the r-csa used to load and serialize to the crafted bytes, a
+        # second envelope for one index
+        blob = toolkit.build_index(b"abracadabra", kind,
+                                   s=2 if kind == "sr-csa" else None,
+                                   variant=0).serialize()
+        bad = edit_section("c_table", INTS,
+                           lambda C, h: C[:3] + [4] + C[4:])(blob)
+        with pytest.raises(envelope.FormatError, match="block does not"):
+            toolkit.load_index(bad)
+
     @pytest.mark.parametrize("kind", toolkit.KINDS)
     def test_one_envelope_per_index(self, kind):
         # CRC-valid envelopes that lay out a good index's sections in any
@@ -832,6 +866,13 @@ class TestCorpus:
         data = toolkit.gen_corpus(20_000, 5, 0.001, seed=1)
         stats = toolkit.text_stats(data, s_values=(4,))
         assert stats["n_over_r"] > 10
+
+    @pytest.mark.parametrize("alphabet", [b"", b"AC\x00", [0]])
+    def test_alphabet_without_terminator_bytes(self, alphabet):
+        # an empty alphabet used to raise numpy's "high <= 0", and one
+        # holding byte 0 to give a corpus that every build rejects
+        with pytest.raises(ValueError, match="alphabet"):
+            toolkit.gen_corpus(100, 2, 0.01, seed=1, alphabet=alphabet)
 
 
 class TestStats:
